@@ -4,44 +4,21 @@
 //   * a full confirmation round over 80 neighbours (3160 comparisons) took
 //     ~630 ms.
 // We benchmark FastDTW vs exact DTW vs Euclidean across series lengths,
-// workspace-reusing vs per-call-allocating FastDTW, and the full
-// Algorithm-1 pipeline (serial vs parallel sweep) for various neighbour
-// counts. After the google-benchmark run, main() sweeps neighbour counts
-// {10, 20, 40, 80, 160} and writes BENCH_comparison.json
-// (voiceprint.comparison_bench/v1, see core/report.h): ns per confirmation
-// round for the exact sweep vs the lower-bound cascade, serial and
-// parallel, the cascade's exit-tier tally (LB_Kim / LB_Keogh / early
-// abandon / full sweeps, whose sum the validator checks equals the
-// comparable pair count) and an exact-vs-pruned verdict parity
-// cross-check. The sweep's timings flow through the observability
-// registry's histograms (obs::ScopedTimer into obs::Histogram), so the
-// numbers in BENCH_comparison.json come from the exact same aggregation
-// code as a runtime --metrics-out report and the two can never drift
-// apart. Supports --metrics-out/--trace-out like the experiment binaries
-// plus --simd on|off (cascade kernel selection), --out PATH (default
-// BENCH_comparison.json) and --quick (skip the google-benchmark suite,
-// sweep fewer neighbour counts with a smaller timing budget — the smoke
-// test's configuration). Flags are split off before google-benchmark
-// parses the rest.
+// workspace-reusing vs per-call-allocating FastDTW, and the production
+// detector (serial vs parallel sweep) for various neighbour counts.
+// Supports --threads/--metrics-out/--trace-out like the experiment
+// binaries; those are split off before google-benchmark parses the rest.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
-#include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/cli.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "core/comparison.h"
 #include "core/detector.h"
-#include "core/report.h"
 #include "obs/report.h"
-#include "timeseries/lower_bound.h"
-#include "obs/runtime.h"
-#include "obs/timer.h"
 #include "timeseries/dtw.h"
 #include "timeseries/fast_dtw.h"
 #include "timeseries/lp_distance.h"
@@ -155,10 +132,10 @@ std::vector<core::NamedSeries> neighbor_series(std::size_t neighbors) {
   return series;
 }
 
-// Full Algorithm-1 detection for N neighbours (the paper extrapolates 80
-// neighbours → ~630 ms on the OBU). range(1) is the comparison-sweep
-// thread count (1 = serial baseline); the flagged set is identical for
-// every value.
+// Full Algorithm-1 detection for N neighbours through the production
+// detector (the lower-bound cascade; the paper extrapolates 80 neighbours
+// → ~630 ms on the OBU). range(1) is the comparison-sweep thread count
+// (1 = serial baseline); the flagged set is identical for every value.
 void BM_FullDetection(benchmark::State& state) {
   const auto neighbors = static_cast<std::size_t>(state.range(0));
   const std::vector<core::NamedSeries> series = neighbor_series(neighbors);
@@ -175,158 +152,6 @@ BENCHMARK(BM_FullDetection)
     ->ArgNames({"neighbors", "threads"})
     ->Complexity();
 
-// Wall-clock sweep behind BENCH_comparison.json: every confirmation round
-// (one detect_series call over N neighbours) is timed by obs::ScopedTimer
-// into an obs::Histogram from the shared registry — the same aggregation
-// code a --metrics-out run report uses, so bench numbers and runtime
-// metrics are produced by one implementation.
-double measure_rounds(const std::string& name,
-                      core::VoiceprintDetector& detector,
-                      const std::vector<core::NamedSeries>& series,
-                      std::uint64_t budget_ns) {
-  obs::Histogram& hist = obs::registry().histogram(name);
-  hist.reset();  // this sweep only (the binary may be re-run in-process)
-  benchmark::DoNotOptimize(detector.detect_series(series, 50.0));  // warm-up
-  std::uint64_t total_ns = 0;
-  std::size_t rounds = 0;
-  // At least 3 rounds and the full time budget, so short configs are not
-  // noise.
-  while (rounds < 3 || total_ns < budget_ns) {
-    obs::ScopedTimer timer(&hist);
-    benchmark::DoNotOptimize(detector.detect_series(series, 50.0));
-    total_ns += timer.stop();
-    ++rounds;
-  }
-  return hist.snapshot().mean;
-}
-
-// Exact-vs-pruned parity on one detector pair: same suspects, and the same
-// (a, b, comparable, flagged) tuple on every pair slot. Bound values are
-// allowed to differ (pruned pairs report bounds); verdicts are not.
-bool verdicts_match(core::VoiceprintDetector& exact,
-                    core::VoiceprintDetector& pruned,
-                    const std::vector<core::NamedSeries>& series) {
-  const std::vector<IdentityId> se = exact.detect_series(series, 50.0);
-  const std::vector<IdentityId> sp = pruned.detect_series(series, 50.0);
-  if (se != sp) return false;
-  const auto& pe = exact.last_all_pairs();
-  const auto& pp = pruned.last_all_pairs();
-  if (pe.size() != pp.size()) return false;
-  for (std::size_t i = 0; i < pe.size(); ++i) {
-    if (pe[i].a != pp[i].a || pe[i].b != pp[i].b ||
-        pe[i].comparable != pp[i].comparable ||
-        pe[i].flagged != pp[i].flagged) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool write_bench_json(const std::string& path, bool use_simd, bool quick) {
-  // Pool width for the "parallel" columns. On a wide machine this is the
-  // hardware concurrency; on a 1-core container it still exercises the
-  // real pool dispatch (4 workers oversubscribed), so speedup ≈ 1 there.
-  const std::size_t parallel_threads =
-      std::max<std::size_t>(vp::hardware_threads(), 4);
-  const std::uint64_t budget_ns = quick ? 20'000'000ULL : 200'000'000ULL;
-  const std::vector<std::size_t> sweep =
-      quick ? std::vector<std::size_t>{10, 20}
-            : std::vector<std::size_t>{10, 20, 40, 80, 160};
-
-  std::vector<core::ComparisonBenchResult> results;
-  for (const std::size_t neighbors : sweep) {
-    const std::vector<core::NamedSeries> series = neighbor_series(neighbors);
-    const std::string base = "bench.round_ns.n" + std::to_string(neighbors);
-
-    // The sweep measures the banded-DTW hot path the cascade targets
-    // (kExactDtw at the default band), where the wavefront kernel is the
-    // exact answer — the cascade replaces the row-sliced DP, its path
-    // backtrack and the per-pair allocations outright. FastDTW timings
-    // (where the kernel only probes) live in the google-benchmark suite.
-    const auto make_detector = [&](bool exact, std::size_t threads) {
-      core::VoiceprintOptions options;
-      options.comparison.distance = core::DistanceKind::kExactDtw;
-      options.comparison.threads = threads;
-      options.comparison.exact_mode = exact;
-      options.comparison.use_simd = use_simd;
-      return core::VoiceprintDetector(options);
-    };
-    core::VoiceprintDetector exact_serial = make_detector(true, 1);
-    core::VoiceprintDetector pruned_serial = make_detector(false, 1);
-    core::VoiceprintDetector exact_parallel =
-        make_detector(true, parallel_threads);
-    core::VoiceprintDetector pruned_parallel =
-        make_detector(false, parallel_threads);
-
-    core::ComparisonBenchResult r;
-    r.label = "n" + std::to_string(neighbors);
-    r.identities = neighbors;
-    r.pairs = neighbors * (neighbors - 1) / 2;
-    r.exact_serial_ns =
-        measure_rounds(base + ".exact_serial", exact_serial, series,
-                       budget_ns);
-    r.pruned_serial_ns =
-        measure_rounds(base + ".pruned_serial", pruned_serial, series,
-                       budget_ns);
-    r.exact_parallel_ns =
-        measure_rounds(base + ".exact_parallel", exact_parallel, series,
-                       budget_ns);
-    r.pruned_parallel_ns =
-        measure_rounds(base + ".pruned_parallel", pruned_parallel, series,
-                       budget_ns);
-    r.speedup_serial = r.exact_serial_ns / r.pruned_serial_ns;
-    r.speedup_parallel = r.exact_parallel_ns / r.pruned_parallel_ns;
-
-    // Exit-tier tally of one pruned sweep at the detector's threshold.
-    const core::VoiceprintOptions options = pruned_serial.options();
-    core::compare_series_pruned(
-        series, options.comparison,
-        options.boundary.threshold_at(50.0), &r.cascade);
-    std::size_t comparable = 0;
-    for (const core::PairDistance& p : pruned_serial.last_all_pairs()) {
-      comparable += p.comparable ? 1 : 0;
-    }
-    r.pairs_comparable = comparable;
-
-    r.verdicts_match = verdicts_match(exact_serial, pruned_serial, series) &&
-                       verdicts_match(exact_parallel, pruned_parallel, series);
-
-    std::fprintf(stderr,
-                 "BENCH neighbors=%zu exact=%.3f ms pruned=%.3f ms "
-                 "speedup=%.2fx (parallel %.2fx) tiers kim=%llu keogh=%llu "
-                 "fixed=%llu abandon=%llu full=%llu verdicts=%s\n",
-                 neighbors, r.exact_serial_ns * 1e-6,
-                 r.pruned_serial_ns * 1e-6, r.speedup_serial,
-                 r.speedup_parallel,
-                 static_cast<unsigned long long>(r.cascade.lb_kim_pruned),
-                 static_cast<unsigned long long>(r.cascade.lb_keogh_pruned),
-                 static_cast<unsigned long long>(r.cascade.fixed_pruned),
-                 static_cast<unsigned long long>(r.cascade.early_abandoned),
-                 static_cast<unsigned long long>(r.cascade.full_sweeps),
-                 r.verdicts_match ? "match" : "MISMATCH");
-    results.push_back(std::move(r));
-  }
-
-  const obs::json::Value doc = core::build_comparison_bench_report(
-      "sec6_complexity", ts::simd_backend_name(), use_simd, results);
-  std::string error;
-  bool ok = true;
-  if (!core::validate_comparison_bench(doc, &error)) {
-    // A verdict mismatch or tally leak must fail the bench run (the smoke
-    // test depends on this), not just leave a broken artefact behind.
-    std::fprintf(stderr, "BENCH self-validation failed: %s\n", error.c_str());
-    ok = false;
-  }
-  std::ofstream out(path, std::ios::out | std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  out << doc.dump(2) << "\n";
-  std::fprintf(stderr, "wrote %s\n", path.c_str());
-  return ok;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -336,8 +161,7 @@ int main(int argc, char** argv) {
   std::vector<const char*> run_argv{argv[0]};
   const auto is_run_flag = [](std::string_view arg) {
     for (const std::string_view name :
-         {"--threads", "--metrics-out", "--trace-out", "--prune", "--simd",
-          "--quick", "--out"}) {
+         {"--threads", "--metrics-out", "--trace-out"}) {
       if (arg == name) return true;
       if (arg.size() > name.size() && arg.substr(0, name.size()) == name &&
           arg[name.size()] == '=') {
@@ -361,20 +185,15 @@ int main(int argc, char** argv) {
   }
   const CliArgs run_args(static_cast<int>(run_argv.size()), run_argv.data());
   const RunFlags run_flags = parse_run_flags(run_args);
-  const bool quick = run_args.get_bool("quick", false);
-  const std::string out_path = run_args.get("out", "BENCH_comparison.json");
   obs::RunSession session(run_args.program_name(), run_flags.metrics_out,
                           run_flags.trace_out);
 
-  if (!quick) {
-    int bench_argc = static_cast<int>(bench_argv.size());
-    benchmark::Initialize(&bench_argc, bench_argv.data());
-    if (benchmark::ReportUnrecognizedArguments(bench_argc,
-                                               bench_argv.data())) {
-      return 1;
-    }
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+  int bench_argc = static_cast<int>(bench_argv.size());
+  benchmark::Initialize(&bench_argc, bench_argv.data());
+  if (benchmark::ReportUnrecognizedArguments(bench_argc, bench_argv.data())) {
+    return 1;
   }
-  return write_bench_json(out_path, run_flags.simd, quick) ? 0 : 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
 }

@@ -55,8 +55,7 @@ service::ServiceBenchConfigResult run_config(
   config.shards = shards;
   config.threads = threads;
   config.engine.condition_ingest = run_flags.cond;
-  config.engine.detector =
-      core::with_run_flags(core::tuned_simulation_options(1), run_flags);
+  config.engine.detector = core::tuned_simulation_options(1);
   if (overload) {
     // The fleet is twice the session cap, each session's offered load is
     // 10× its admission cap, rings are a fraction of a window, and the

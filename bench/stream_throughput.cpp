@@ -84,8 +84,7 @@ stream::BenchConfigResult run_config(const std::string& label,
 
   stream::StreamEngineConfig config;
   config.condition_ingest = run_flags.cond;
-  config.detector =
-      core::with_run_flags(core::tuned_simulation_options(threads), run_flags);
+  config.detector = core::tuned_simulation_options(threads);
   if (overload) {
     // 10× over the admission cap, rings far below a full window, and an
     // identity cap below the offered identity count: everything past the

@@ -70,8 +70,7 @@ wire::WireBenchConfigResult run_config(
     const std::string& label, std::size_t connections, std::size_t observers,
     std::size_t identities, double rate_hz, double duration_s,
     std::size_t backends_n, std::size_t shards, std::size_t threads,
-    Mode mode, const vp::RunFlags& run_flags,
-    obs::TelemetryExporter& telemetry) {
+    Mode mode, obs::TelemetryExporter& telemetry) {
   const std::vector<sim::FleetBeacon> fleet =
       sim::synthesize_fleet(observers, identities, rate_hz, duration_s);
   wire::FleetStreamOptions options;
@@ -96,8 +95,7 @@ wire::WireBenchConfigResult run_config(
   config.threads = threads;
   config.max_sessions = observers + 8;
   config.pump_batch_rounds = shards * 2;
-  config.engine.detector =
-      core::with_run_flags(core::tuned_simulation_options(1), run_flags);
+  config.engine.detector = core::tuned_simulation_options(1);
   config.engine.ring_capacity = static_cast<std::size_t>(
       config.engine.observation_time_s * rate_hz * 2.0) + 16;
   config.engine.max_identities = identities + 16;
@@ -250,18 +248,17 @@ int main(int argc, char** argv) {
       obs::registry().histogram("stream.round_ns").reset();
       results.push_back(run_config(label, connections, observers, identities,
                                    rate, duration, backends, shards, threads,
-                                   Mode::kClean, run_flags, telemetry));
+                                   Mode::kClean, telemetry));
     }
   }
   obs::registry().histogram("stream.round_ns").reset();
   results.push_back(run_config("corrupt", 2, observers, identities, 10.0,
                                duration, backends, shards, threads,
-                               Mode::kCorrupt, run_flags, telemetry));
+                               Mode::kCorrupt, telemetry));
   obs::registry().histogram("stream.round_ns").reset();
   results.push_back(run_config("overload", 2, observers, identities,
                                quick ? 10.0 : 50.0, duration, backends,
-                               shards, threads, Mode::kOverload, run_flags,
-                               telemetry));
+                               shards, threads, Mode::kOverload, telemetry));
   telemetry.finish(duration);
 
   if (monitor.alerts_total() > 0) {

@@ -150,8 +150,7 @@ int main(int argc, char** argv) {
   engine_config.max_transmission_range_m = config.max_transmission_range_m;
   engine_config.min_samples = 4;  // World::observe's default
   engine_config.condition_ingest = run_flags.cond;
-  engine_config.detector =
-      core::with_run_flags(core::tuned_simulation_options(1), run_flags);
+  engine_config.detector = core::tuned_simulation_options(1);
   const double end_time = world.detection_times().back();
 
   // Reference: each observer through its own standalone StreamEngine

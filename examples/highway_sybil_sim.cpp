@@ -64,8 +64,7 @@ int main(int argc, char** argv) {
             << Table::num(window.estimated_density_per_km, 1)
             << " vhls/km\n\n";
 
-  core::VoiceprintDetector detector(core::with_run_flags(
-      core::tuned_simulation_options(threads), run_flags));
+  core::VoiceprintDetector detector(core::tuned_simulation_options(threads));
   const auto flagged = detector.detect_window(window);
   const std::set<IdentityId> flagged_set(flagged.begin(), flagged.end());
 
@@ -81,8 +80,8 @@ int main(int argc, char** argv) {
   table.print(std::cout);
 
   // Fleet-wide averages (Eq. 12/13) over sampled observers and periods.
-  core::VoiceprintDetector fleet_detector(core::with_run_flags(
-      core::tuned_simulation_options(threads), run_flags));
+  core::VoiceprintDetector fleet_detector(
+      core::tuned_simulation_options(threads));
   const sim::EvaluationResult result = sim::evaluate(
       world, fleet_detector, {.max_observers = 8, .threads = threads});
   std::cout << "\nfleet average detection rate      : "

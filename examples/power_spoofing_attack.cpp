@@ -56,8 +56,11 @@ void report(const std::string& title,
   core::VoiceprintDetector detector(options);
   const auto flagged = detector.detect_series(heard, 10.0);
   std::cout << title << " (Eq. 7 " << (z_score ? "on" : "off") << ")\n";
+  // The detector's cascade reports bounds for pairs it decided early; the
+  // printed distances come from the reference sweep.
   Table table({"pair", "normalised DTW"});
-  for (const core::PairDistance& p : detector.last_all_pairs()) {
+  for (const core::PairDistance& p :
+       core::compare_series(heard, options.comparison)) {
     table.add_row({"(" + std::to_string(p.a) + "," + std::to_string(p.b) +
                        ")",
                    Table::num(p.normalized, 4)});

@@ -99,15 +99,14 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(args.get_int("max-identities", 512));
   engine_config.max_ingest_rate_hz = args.get_double("rate-cap", 0.0);
   engine_config.condition_ingest = run_flags.cond;
-  engine_config.detector = core::with_run_flags(
-      core::tuned_simulation_options(run_flags.threads), run_flags);
+  engine_config.detector = core::tuned_simulation_options(run_flags.threads);
 
   const double kill_at = args.get_double("kill-at", -1.0);
 
   std::optional<stream::StreamEngine> engine;
   engine.emplace(engine_config);
-  core::VoiceprintDetector batch(core::with_run_flags(
-      core::tuned_simulation_options(run_flags.threads), run_flags));
+  core::VoiceprintDetector batch(
+      core::tuned_simulation_options(run_flags.threads));
 
   // Check every round against the batch detector on the same window as it
   // completes. Shedding (a rate cap, a small ring) breaks parity by

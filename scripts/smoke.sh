@@ -25,7 +25,6 @@ fleet="$build_dir/examples/fleet_detection"
 stream_bench="$build_dir/bench/stream_throughput"
 service_bench="$build_dir/bench/service_throughput"
 chaos_bench="$build_dir/bench/chaos_detection"
-complexity_bench="$build_dir/bench/sec6_complexity"
 fusion_bench="$build_dir/bench/fusion_quality"
 wire_bench="$build_dir/bench/wire_throughput"
 ingest_server="$build_dir/tools/vp_ingest_server"
@@ -35,15 +34,14 @@ top="$build_dir/tools/vp_top"
 
 if [[ ! -x "$quickstart" || ! -x "$highway" || ! -x "$streaming" \
       || ! -x "$fleet" || ! -x "$stream_bench" || ! -x "$service_bench" \
-      || ! -x "$chaos_bench" || ! -x "$complexity_bench" \
-      || ! -x "$fusion_bench" || ! -x "$wire_bench" \
+      || ! -x "$chaos_bench" || ! -x "$fusion_bench" || ! -x "$wire_bench" \
       || ! -x "$ingest_server" || ! -x "$ingest_client" \
       || ! -x "$checker" || ! -x "$top" ]]; then
   echo "smoke: binaries missing, building in $build_dir"
   cmake -B "$build_dir" -S "$repo_root"
   cmake --build "$build_dir" -j --target quickstart highway_sybil_sim \
     streaming_detection fleet_detection stream_throughput \
-    service_throughput chaos_detection sec6_complexity fusion_quality \
+    service_throughput chaos_detection fusion_quality \
     wire_throughput vp_ingest_server vp_ingest_client \
     check_run_report vp_top
 fi
@@ -197,15 +195,6 @@ echo "smoke: validating chaos report + bench artefact"
   --require cond.offered --require cond.passed --require cond.rejected \
   --chaos-bench "$tmp/BENCH_chaos.json"
 
-echo "smoke: streaming_detection --prune --simd (cascade parity)"
-"$streaming" --density 12 --duration 60 --prune --simd \
-  > "$tmp/streaming_pruned.out"
-grep -q "streaming parity: OK" "$tmp/streaming_pruned.out" || {
-  echo "smoke: streaming_detection --prune lost batch parity"
-  cat "$tmp/streaming_pruned.out"
-  exit 1
-}
-
 echo "smoke: wire ingest server + client over loopback TCP"
 rm -f "$tmp/vp.port"
 "$ingest_server" --port 0 --port-file "$tmp/vp.port" \
@@ -244,12 +233,5 @@ echo "smoke: wire_throughput --quick"
 
 echo "smoke: validating wire bench artefact"
 "$checker" --wire-bench "$tmp/BENCH_wire.json"
-
-echo "smoke: sec6_complexity --quick (pruned-vs-exact bench artefact)"
-"$complexity_bench" --quick --out "$tmp/BENCH_comparison.json" \
-  --benchmark_filter=SkipAll > "$tmp/complexity.out"
-
-echo "smoke: validating comparison bench artefact"
-"$checker" --comparison-bench "$tmp/BENCH_comparison.json"
 
 echo "smoke: OK"

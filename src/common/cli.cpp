@@ -97,9 +97,6 @@ RunFlags parse_run_flags(const CliArgs& args, std::size_t default_threads) {
   flags.threads = static_cast<std::size_t>(threads);
   flags.metrics_out = args.get("metrics-out", "");
   flags.trace_out = args.get("trace-out", "");
-  flags.prune = args.get_bool("prune", false);
-  flags.simd = args.get_bool("simd", true);
-  flags.fixed_lb = args.get_bool("fixedlb", false);
   flags.cond = args.get_bool("cond", false);
   flags.telemetry_out = args.get("telemetry-out", "");
   const std::int64_t every = args.get_int("telemetry-every", 1);

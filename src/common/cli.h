@@ -45,18 +45,6 @@ class CliArgs {
 //   --metrics-out P   write a voiceprint.run_report/v1 JSON document to P
 //                     when the binary exits.
 //   --trace-out P     stream JSONL span events to P during the run.
-//   --prune           route detection through the lower-bound cascade
-//                     (core::compare_series_pruned); verdicts are
-//                     guaranteed identical to the exact sweep, pruned
-//                     pairs report bounds instead of exact distances.
-//   --simd on|off     let the cascade's band sweeps use the vectorised
-//                     wavefront kernel (default on; bit-identical either
-//                     way, only speed changes). Meaningless without
-//                     --prune.
-//   --fixedlb         add the int16 Q4.12 integer-DTW tier to the
-//                     cascade (certified lower bound between envelope
-//                     and float kernel; verdicts identical, no effect
-//                     without --prune).
 //   --cond            run the §15 fixed-point conditioning front
 //                     (Hampel/MAD + adaptive EMA) on every ingested
 //                     beacon; the cond.* counters and their conservation
@@ -77,9 +65,6 @@ struct RunFlags {
   std::size_t threads = 1;
   std::string metrics_out;
   std::string trace_out;
-  bool prune = false;
-  bool simd = true;
-  bool fixed_lb = false;
   bool cond = false;
   std::string telemetry_out;
   std::uint64_t telemetry_every_rounds = 1;

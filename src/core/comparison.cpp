@@ -11,7 +11,6 @@
 #include "obs/runtime.h"
 #include "obs/timer.h"
 #include "timeseries/dtw.h"
-#include "timeseries/fixed.h"
 #include "timeseries/lower_bound.h"
 #include "timeseries/lp_distance.h"
 #include "timeseries/normalize.h"
@@ -20,13 +19,16 @@ namespace vp::core {
 
 namespace {
 
+using Job = std::pair<std::size_t, std::size_t>;
+
 // Per-worker scratch for the pairwise sweep: one DTW workspace plus the
-// alignment buffers, so the hot loop reuses its allocations across pairs.
+// alignment and Z-image buffers, so the hot loop reuses its allocations
+// across pairs.
 struct PairScratch {
   ts::DtwWorkspace workspace;
   ts::DtwResult result;
-  ts::FixedDtwScratch fixed;
-  std::vector<double> va, vb;
+  std::vector<double> va, vb;  // aligned values the alignment had to copy
+  std::vector<double> za, zb;  // Eq. 7 images of the pair under comparison
 };
 
 // Histogram sinks for the per-pair sub-phases, resolved from the registry
@@ -48,9 +50,6 @@ PairSinks resolve_pair_sinks() {
   return sinks;
 }
 
-// Span-based core of match_samples: the cascade aligns on subspans of the
-// original series (no slice_time copies), the public Series overload
-// forwards here — one implementation, identical doubles either way.
 void match_samples_spans(std::span<const double> ta,
                          std::span<const double> va,
                          std::span<const double> tb,
@@ -59,27 +58,6 @@ void match_samples_spans(std::span<const double> ta,
                          std::vector<double>& out_b) {
   out_a.clear();
   out_b.clear();
-  // Same-beacon-rate fast path: when both sides sit on the identical
-  // strictly-increasing grid, the nearest-neighbour walk below pairs
-  // sample i with sample i (each |tb[j+1] - ta[i]| is positive while
-  // |tb[i] - ta[i]| is zero, so j never advances past i, and the zero gap
-  // always passes max_gap_s) — the output is the two value arrays
-  // verbatim. Strictness matters: duplicate timestamps make the walk
-  // consume ahead, so they take the general loop.
-  if (ta.size() == tb.size() && !ta.empty() && max_gap_s >= 0.0) {
-    bool same_grid = true;
-    for (std::size_t i = 0; i < ta.size(); ++i) {
-      if (ta[i] != tb[i] || (i > 0 && !(ta[i] > ta[i - 1]))) {
-        same_grid = false;
-        break;
-      }
-    }
-    if (same_grid) {
-      out_a.assign(va.begin(), va.end());
-      out_b.assign(vb.begin(), vb.end());
-      return;
-    }
-  }
   std::size_t j = 0;
   for (std::size_t i = 0; i < ta.size() && j < tb.size(); ++i) {
     const double t = ta[i];
@@ -101,50 +79,18 @@ void match_samples_spans(std::span<const double> ta,
   }
 }
 
-double pair_distance(const std::vector<double>& x, const std::vector<double>& y,
-                     const ComparisonOptions& options, PairScratch& scratch) {
-  switch (options.distance) {
-    case DistanceKind::kFastDtw: {
-      ts::fast_dtw(x, y,
-                   {.radius = options.fastdtw_radius,
-                    .cost = options.cost,
-                    .band = options.dtw_band},
-                   scratch.workspace, scratch.result);
-      return options.length_normalize
-                 ? scratch.result.distance /
-                       static_cast<double>(scratch.result.path.size())
-                 : scratch.result.distance;
-    }
-    case DistanceKind::kExactDtw: {
-      if (options.dtw_band > 0) {
-        ts::dtw_banded(x, y, options.dtw_band, options.cost, scratch.workspace,
-                       scratch.result);
-      } else {
-        ts::dtw(x, y, options.cost, scratch.workspace, scratch.result);
-      }
-      return options.length_normalize
-                 ? scratch.result.distance /
-                       static_cast<double>(scratch.result.path.size())
-                 : scratch.result.distance;
-    }
-    case DistanceKind::kEuclidean: {
-      // Euclidean needs equal lengths; packet loss makes them unequal, so
-      // resample the longer one down to the shorter (Section IV-B explains
-      // why the paper rejects this).
-      const auto n = std::min(x.size(), y.size());
-      double d;
-      if (x.size() == y.size()) {
-        d = ts::euclidean_distance(x, y);
-      } else {
-        const ts::Series xs = ts::Series::uniform(0.0, 1.0, x).resample(n);
-        const ts::Series ys = ts::Series::uniform(0.0, 1.0, y).resample(n);
-        d = ts::euclidean_distance(xs.values(), ys.values());
-      }
-      return options.length_normalize ? d / std::sqrt(static_cast<double>(n))
-                                      : d;
-    }
+// True when both sides sit on the identical strictly-increasing grid. The
+// matcher then pairs sample i with sample i (each |tb[j+1] - ta[i]| is
+// positive while |tb[i] - ta[i]| is zero, so j never advances past i, and
+// the zero gap always passes max_gap_s), so its output is the two value
+// arrays verbatim. Strictness matters: duplicate timestamps make the walk
+// consume ahead.
+bool same_grid(std::span<const double> ta, std::span<const double> tb) {
+  if (ta.size() != tb.size() || ta.empty()) return false;
+  for (std::size_t i = 0; i < ta.size(); ++i) {
+    if (ta[i] != tb[i] || (i > 0 && !(ta[i] > ta[i - 1]))) return false;
   }
-  throw InternalError("unknown distance kind");
+  return true;
 }
 
 // True if the series carries enough shape to be compared (see
@@ -165,71 +111,242 @@ bool has_usable_shape(std::span<const double> values,
          options.max_floor_fraction * static_cast<double>(values.size());
 }
 
-// One (a, b) comparison: common-support restriction, alignment, Eq. 7 and
-// the DTW distance, using only `scratch`'s buffers for the hot allocations.
+// One pair's values after the common-support cut and the alignment. Each
+// side is a span into its series' own storage when the alignment kept the
+// values verbatim, or into the caller's buffers when it had to copy.
+struct AlignedPair {
+  std::span<const double> a, b;
+  // The side is verbatim its whole series (full cut, nothing dropped), so
+  // per-series caches of the sketch and the Z-image stand in for it.
+  bool a_full = false;
+  bool b_full = false;
+};
+
+// The common-support cut and the alignment of one pair, shared by the
+// reference sweep and the cascade. Returns false when the pair is not
+// comparable. Both series must have passed the usable-shape prefilter.
+bool align_pair(const ts::Series& sa, const ts::Series& sb,
+                const ComparisonOptions& options, std::vector<double>& buf_a,
+                std::vector<double>& buf_b, AlignedPair& out) {
+  const double lo = std::max(sa.time(0), sb.time(0));
+  const double hi = std::min(sa.time(sa.size() - 1), sb.time(sb.size() - 1));
+  if (hi < lo || hi - lo < options.min_overlap_s) return false;
+  // Half-open cut [lo, hi + 1e-9): the nudge keeps the endpoint.
+  struct Cut {
+    std::span<const double> times, values;
+    bool full = false;
+  };
+  const auto cut = [&](const ts::Series& s) {
+    const std::span<const double> all = s.times();
+    const auto first = static_cast<std::size_t>(
+        std::lower_bound(all.begin(), all.end(), lo) - all.begin());
+    const auto last = static_cast<std::size_t>(
+        std::lower_bound(all.begin(), all.end(), hi + 1e-9) - all.begin());
+    return Cut{all.subspan(first, last - first),
+               s.values().subspan(first, last - first),
+               first == 0 && last == all.size()};
+  };
+  const Cut ca = cut(sa);
+  const Cut cb = cut(sb);
+  if (ca.times.size() < options.min_overlap_samples ||
+      cb.times.size() < options.min_overlap_samples) {
+    return false;
+  }
+  // A full cut is the whole series, which already passed the usable-shape
+  // prefilter; only genuine sub-cuts re-check.
+  if ((!ca.full && !has_usable_shape(ca.values, options)) ||
+      (!cb.full && !has_usable_shape(cb.values, options))) {
+    return false;
+  }
+  switch (options.alignment) {
+    case ComparisonOptions::Alignment::kMatchedSamples:
+      if (options.match_gap_s >= 0.0 && same_grid(ca.times, cb.times)) {
+        out = {ca.values, cb.values, ca.full, cb.full};
+        return true;
+      }
+      match_samples_spans(ca.times, ca.values, cb.times, cb.values,
+                          options.match_gap_s, buf_a, buf_b);
+      if (buf_a.size() < options.min_overlap_samples) return false;
+      // The matcher keeps values in order, so a side that lost nothing is
+      // verbatim its cut.
+      out = {buf_a, buf_b, ca.full && buf_a.size() == ca.values.size(),
+             cb.full && buf_b.size() == cb.values.size()};
+      return true;
+    case ComparisonOptions::Alignment::kResampleGrid: {
+      const auto grid_points = std::max<std::size_t>(
+          static_cast<std::size_t>((hi - lo) / options.grid_period_s) + 1, 2);
+      const auto resample = [&](const Cut& c, std::vector<double>& buf) {
+        const ts::Series r =
+            ts::Series(std::vector<double>(c.times.begin(), c.times.end()),
+                       std::vector<double>(c.values.begin(), c.values.end()))
+                .resample(grid_points);
+        buf.assign(r.values().begin(), r.values().end());
+      };
+      resample(ca, buf_a);
+      resample(cb, buf_b);
+      out = {buf_a, buf_b, false, false};
+      return true;
+    }
+    case ComparisonOptions::Alignment::kNone:
+      out = {ca.values, cb.values, ca.full, cb.full};
+      return true;
+  }
+  throw InternalError("unknown alignment");
+}
+
+// Divides an accumulated warp-path cost by its path length under
+// length_normalize (per-step cost).
+double per_step(double distance, std::size_t path_cells,
+                const ComparisonOptions& options) {
+  return options.length_normalize
+             ? distance / static_cast<double>(path_cells)
+             : distance;
+}
+
+double fast_dtw_distance(std::span<const double> x, std::span<const double> y,
+                         const ComparisonOptions& options,
+                         PairScratch& scratch) {
+  ts::fast_dtw(x, y,
+               {.radius = options.fastdtw_radius,
+                .cost = options.cost,
+                .band = options.dtw_band},
+               scratch.workspace, scratch.result);
+  return per_step(scratch.result.distance, scratch.result.path.size(),
+                  options);
+}
+
+double pair_distance(std::span<const double> x, std::span<const double> y,
+                     const ComparisonOptions& options, PairScratch& scratch) {
+  switch (options.distance) {
+    case DistanceKind::kFastDtw:
+      return fast_dtw_distance(x, y, options, scratch);
+    case DistanceKind::kExactDtw: {
+      if (options.dtw_band > 0) {
+        ts::dtw_banded(x, y, options.dtw_band, options.cost, scratch.workspace,
+                       scratch.result);
+      } else {
+        ts::dtw(x, y, options.cost, scratch.workspace, scratch.result);
+      }
+      return per_step(scratch.result.distance, scratch.result.path.size(),
+                      options);
+    }
+    case DistanceKind::kEuclidean: {
+      // Euclidean needs equal lengths; packet loss makes them unequal, so
+      // resample the longer one down to the shorter (Section IV-B explains
+      // why the paper rejects this).
+      const auto n = std::min(x.size(), y.size());
+      double d;
+      if (x.size() == y.size()) {
+        d = ts::euclidean_distance(x, y);
+      } else {
+        const auto resampled = [n](std::span<const double> v) {
+          return ts::Series::uniform(0.0, 1.0, {v.begin(), v.end()})
+              .resample(n);
+        };
+        d = ts::euclidean_distance(resampled(x).values(),
+                                   resampled(y).values());
+      }
+      return options.length_normalize ? d / std::sqrt(static_cast<double>(n))
+                                      : d;
+    }
+  }
+  throw InternalError("unknown distance kind");
+}
+
+// One (a, b) comparison of the reference sweep: cut, alignment, Eq. 7 and
+// the distance, using only `scratch`'s buffers for the hot allocations.
 PairDistance compare_pair(const NamedSeries& ea, const NamedSeries& eb,
                           const ComparisonOptions& options,
                           PairScratch& scratch, const PairSinks& sinks) {
-  const ts::Series& sa = ea.second;
-  const ts::Series& sb = eb.second;
   PairDistance p;
   p.a = ea.first;
   p.b = eb.first;
 
   obs::ScopedTimer cut_timer(sinks.cut_align_ns);
-  // Restrict to the common time support.
-  const double lo = std::max(sa.time(0), sb.time(0));
-  const double hi = std::min(sa.time(sa.size() - 1), sb.time(sb.size() - 1));
-  if (hi - lo < options.min_overlap_s) {
+  AlignedPair aligned;
+  if (!align_pair(ea.second, eb.second, options, scratch.va, scratch.vb,
+                  aligned)) {
     p.comparable = false;
     return p;
-  }
-  // Half-open slice: nudge the upper bound to include the endpoint.
-  const ts::Series cut_a = sa.slice_time(lo, hi + 1e-9);
-  const ts::Series cut_b = sb.slice_time(lo, hi + 1e-9);
-  if (cut_a.size() < options.min_overlap_samples ||
-      cut_b.size() < options.min_overlap_samples ||
-      !has_usable_shape(cut_a.values(), options) ||
-      !has_usable_shape(cut_b.values(), options)) {
-    p.comparable = false;
-    return p;
-  }
-
-  // Eq. 7 on the overlapped segments, then the (banded) DTW distance.
-  std::vector<double>& va = scratch.va;
-  std::vector<double>& vb = scratch.vb;
-  switch (options.alignment) {
-    case ComparisonOptions::Alignment::kMatchedSamples:
-      match_samples(cut_a, cut_b, options.match_gap_s, va, vb);
-      if (va.size() < options.min_overlap_samples) {
-        p.comparable = false;
-        return p;
-      }
-      break;
-    case ComparisonOptions::Alignment::kResampleGrid: {
-      const auto grid_points = std::max<std::size_t>(
-          static_cast<std::size_t>((hi - lo) / options.grid_period_s) + 1, 2);
-      const ts::Series ra = cut_a.resample(grid_points);
-      const ts::Series rb = cut_b.resample(grid_points);
-      va.assign(ra.values().begin(), ra.values().end());
-      vb.assign(rb.values().begin(), rb.values().end());
-      break;
-    }
-    case ComparisonOptions::Alignment::kNone:
-      va.assign(cut_a.values().begin(), cut_a.values().end());
-      vb.assign(cut_b.values().begin(), cut_b.values().end());
-      break;
   }
   cut_timer.stop();
+  std::span<const double> x = aligned.a;
+  std::span<const double> y = aligned.b;
   if (options.z_score_normalize) {
     obs::ScopedTimer zscore_timer(sinks.zscore_ns);
-    va = ts::z_score_enhanced(va);
-    vb = ts::z_score_enhanced(vb);
+    ts::z_score_enhanced(x, scratch.za);
+    ts::z_score_enhanced(y, scratch.zb);
+    x = scratch.za;
+    y = scratch.zb;
   }
   obs::ScopedTimer dtw_timer(sinks.dtw_ns);
-  p.raw = pair_distance(va, vb, options, scratch);
+  p.raw = pair_distance(x, y, options, scratch);
   p.normalized = p.raw;
   return p;
+}
+
+// Series that carry no shape at all are dropped up front (Eq. 7 would map
+// them to near-identical flat lines).
+std::vector<const NamedSeries*> usable_series(
+    std::span<const NamedSeries> series, const ComparisonOptions& options) {
+  std::vector<const NamedSeries*> usable;
+  for (const NamedSeries& entry : series) {
+    if (entry.second.size() < 2) continue;
+    if (!has_usable_shape(entry.second.values(), options)) continue;
+    usable.push_back(&entry);
+  }
+  return usable;
+}
+
+// The (i, j) pairs in Algorithm 1's i < j order. Each worker writes its
+// pair into a fixed slot, so the result vector — and with it Eq. 8 — is
+// bit-identical no matter how many threads run the sweep.
+std::vector<Job> pair_jobs(std::size_t n) {
+  std::vector<Job> jobs;
+  jobs.reserve(n * (n - 1) / 2);
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) jobs.emplace_back(i, j);
+  }
+  return jobs;
+}
+
+std::size_t sweep_threads(const ComparisonOptions& options,
+                          std::size_t jobs) {
+  return std::min(options.threads == 0 ? hardware_threads() : options.threads,
+                  jobs);
+}
+
+obs::ScopedTimer sweep_timer(std::size_t jobs) {
+  if (!obs::enabled()) return obs::ScopedTimer();
+  return obs::ScopedTimer(&obs::registry().histogram("comparison.sweep_ns"),
+                          obs::trace(),
+                          {.phase = "comparison.sweep",
+                           .pairs = static_cast<std::int64_t>(jobs)});
+}
+
+// Sweep-level registry counters shared by both sweeps, plus the summed
+// per-worker workspace stats (every DP solve of the sweep ran on one).
+void record_sweep(std::size_t heard, std::size_t usable, std::size_t jobs,
+                  std::size_t comparable,
+                  std::span<const PairScratch> scratch) {
+  obs::MetricsRegistry& registry = obs::registry();
+  registry.counter("comparison.sweeps").add(1);
+  registry.counter("comparison.series_heard").add(heard);
+  registry.counter("comparison.series_usable").add(usable);
+  registry.counter("comparison.pairs_total").add(jobs);
+  registry.counter("comparison.pairs_comparable").add(comparable);
+  registry.counter("comparison.pairs_incomparable").add(jobs - comparable);
+  ts::DtwWorkspace::Stats dtw_stats;
+  for (const PairScratch& s : scratch) {
+    dtw_stats.dp_solves += s.workspace.stats.dp_solves;
+    dtw_stats.cells += s.workspace.stats.cells;
+    dtw_stats.grows += s.workspace.stats.grows;
+  }
+  registry.counter("dtw.dp_solves").add(dtw_stats.dp_solves);
+  registry.counter("dtw.cells_expanded").add(dtw_stats.cells);
+  registry.counter("dtw.workspace_grows").add(dtw_stats.grows);
+  registry.counter("dtw.workspace_reuse_hits")
+      .add(dtw_stats.dp_solves - dtw_stats.grows);
 }
 
 }  // namespace
@@ -242,45 +359,16 @@ void match_samples(const ts::Series& a, const ts::Series& b, double max_gap_s,
 
 std::vector<PairDistance> compare_series(std::span<const NamedSeries> series,
                                          const ComparisonOptions& options) {
-  // Series that carry no shape at all are dropped up front (Eq. 7 would map
-  // them to near-identical flat lines).
-  std::vector<const NamedSeries*> usable;
-  for (const NamedSeries& entry : series) {
-    if (entry.second.size() < 2) continue;
-    if (!has_usable_shape(entry.second.values(), options)) continue;
-    usable.push_back(&entry);
-  }
-
+  const std::vector<const NamedSeries*> usable =
+      usable_series(series, options);
   std::vector<PairDistance> pairs;
   if (usable.size() < 2) return pairs;
-
-  // Enumerate the (i, j) pairs up front in Algorithm 1's i < j order and
-  // pre-size the output: each worker writes its pair into a fixed slot, so
-  // the result vector — and with it Eq. 8's min–max pass below — is
-  // bit-identical no matter how many threads run the sweep.
-  std::vector<std::pair<std::size_t, std::size_t>> jobs;
-  jobs.reserve(usable.size() * (usable.size() - 1) / 2);
-  for (std::size_t i = 0; i + 1 < usable.size(); ++i) {
-    for (std::size_t j = i + 1; j < usable.size(); ++j) {
-      jobs.emplace_back(i, j);
-    }
-  }
+  const std::vector<Job> jobs = pair_jobs(usable.size());
   pairs.resize(jobs.size());
 
   const PairSinks sinks = resolve_pair_sinks();
-  const bool instrumented = obs::enabled();
-  obs::ScopedTimer sweep_timer =
-      instrumented
-          ? obs::ScopedTimer(
-                &obs::registry().histogram("comparison.sweep_ns"),
-                obs::trace(),
-                {.phase = "comparison.sweep",
-                 .pairs = static_cast<std::int64_t>(jobs.size())})
-          : obs::ScopedTimer();
-
-  const std::size_t threads = std::min(
-      options.threads == 0 ? hardware_threads() : options.threads,
-      jobs.size());
+  obs::ScopedTimer timer = sweep_timer(jobs.size());
+  const std::size_t threads = sweep_threads(options, jobs.size());
   std::vector<PairScratch> scratch(std::max<std::size_t>(threads, 1));
   parallel_for(threads, jobs.size(),
                [&](std::size_t worker, std::size_t k) {
@@ -288,38 +376,17 @@ std::vector<PairDistance> compare_series(std::span<const NamedSeries> series,
                                          *usable[jobs[k].second], options,
                                          scratch[worker], sinks);
                });
-  sweep_timer.stop();
-
-  if (instrumented) {
-    obs::MetricsRegistry& registry = obs::registry();
-    std::size_t comparable = 0;
-    for (const PairDistance& p : pairs) comparable += p.comparable ? 1 : 0;
-    registry.counter("comparison.sweeps").add(1);
-    registry.counter("comparison.series_heard").add(series.size());
-    registry.counter("comparison.series_usable").add(usable.size());
-    registry.counter("comparison.pairs_total").add(jobs.size());
-    registry.counter("comparison.pairs_comparable").add(comparable);
-    registry.counter("comparison.pairs_incomparable")
-        .add(jobs.size() - comparable);
-    // Per-worker workspace stats, summed: every DTW DP solve of this
-    // sweep ran on one of these workspaces.
-    ts::DtwWorkspace::Stats dtw_stats;
-    for (const PairScratch& s : scratch) {
-      dtw_stats.dp_solves += s.workspace.stats.dp_solves;
-      dtw_stats.cells += s.workspace.stats.cells;
-      dtw_stats.grows += s.workspace.stats.grows;
-    }
-    registry.counter("dtw.dp_solves").add(dtw_stats.dp_solves);
-    registry.counter("dtw.cells_expanded").add(dtw_stats.cells);
-    registry.counter("dtw.workspace_grows").add(dtw_stats.grows);
-    registry.counter("dtw.workspace_reuse_hits")
-        .add(dtw_stats.dp_solves - dtw_stats.grows);
-  }
+  timer.stop();
 
   std::vector<double> values;
   values.reserve(pairs.size());
   for (const PairDistance& p : pairs) {
     if (p.comparable) values.push_back(p.raw);
+  }
+  const bool instrumented = obs::enabled();
+  if (instrumented) {
+    record_sweep(series.size(), usable.size(), jobs.size(), values.size(),
+                 scratch);
   }
   obs::ScopedTimer minmax_timer =
       instrumented
@@ -360,31 +427,23 @@ double slack_up(double ub) { return ub * (1.0 + kBoundSlack); }
 
 // Deepest cascade tier a pair touched; doubles as its exit-tier label for
 // the CascadeStats conservation law.
-enum class Stage : unsigned char { kSketch, kEnvelope, kFixed, kKernel,
-                                   kFull };
+enum class Stage : unsigned char { kSketch, kEnvelope, kKernel, kFull };
 
+// What the cascade keeps per pair: its bounds, never its aligned values or
+// sketches. Tiers that need those re-derive them into the calling worker's
+// scratch, so a round's working set stays at its input series plus one
+// small record per pair.
 struct CascadeRecord {
-  ts::SeriesSketch sa, sb;
-  // Non-null when the matcher output this side verbatim (identical
-  // timestamp grids): the aligned values then live in the original series'
-  // own storage — which outlives the sweep — and were never copied into
-  // the arena. At fleet scale this is the common case, and skipping the
-  // copy keeps the sweep's working set at the size of the input series
-  // instead of one arena slot per pair.
-  const double* direct_a = nullptr;
-  const double* direct_b = nullptr;
-  std::size_t worker = 0;  // arena owner
-  std::size_t offset = 0;  // aligned a-values at [offset, offset+len),
-  std::size_t len = 0;     // b-values at [offset+len, offset+2*len)
-  double lb = 0.0;         // per-step lower bound (tightest so far)
-  double ub = 0.0;         // per-step diagonal upper bound
-  double raw = 0.0;        // exact per-step distance once resolved
-  // Index into the sweep's per-series Z-image cache when the aligned
-  // values are verbatim the full series (full overlap, no samples dropped
-  // by the matcher) — the common same-beacon-rate case. -1 otherwise.
-  std::int64_t zcache_a = -1, zcache_b = -1;
+  std::size_t len = 0;  // aligned length of both sides
+  double lb = 0.0;      // per-step lower bound (tightest so far)
+  double ub = 0.0;      // per-step diagonal upper bound
+  double raw = 0.0;     // exact per-step distance once stage == kFull
   Stage stage = Stage::kSketch;
-  bool resolved = false;
+  // The side's aligned values are verbatim its whole series (the common
+  // same-beacon-rate case), so the per-series sketch and Z-image caches
+  // stand in for it and re-deriving it is free.
+  bool a_full = false;
+  bool b_full = false;
 };
 
 bool cascade_supported(const ComparisonOptions& options) {
@@ -402,108 +461,6 @@ bool cascade_supported(const ComparisonOptions& options) {
   return true;
 }
 
-// Mirror of compare_pair's support cut + alignment, but allocation-free:
-// index ranges instead of slice_time copies, spans instead of Series. The
-// produced va/vb hold exactly the same doubles, so pairs the cascade must
-// resolve exactly reproduce the reference path bit for bit.
-bool cascade_align(const NamedSeries& ea, const NamedSeries& eb,
-                   const ComparisonOptions& options, PairScratch& scratch,
-                   bool& va_is_full, bool& vb_is_full,
-                   std::span<const double>& out_a,
-                   std::span<const double>& out_b, bool& direct) {
-  va_is_full = false;
-  vb_is_full = false;
-  direct = false;
-  const ts::Series& series_a = ea.second;
-  const ts::Series& series_b = eb.second;
-  const double lo = std::max(series_a.time(0), series_b.time(0));
-  const double hi = std::min(series_a.time(series_a.size() - 1),
-                             series_b.time(series_b.size() - 1));
-  if (hi - lo < options.min_overlap_s) return false;
-  const double t_end = hi + 1e-9;  // slice_time's endpoint nudge
-  const auto cut = [&](const ts::Series& s, std::span<const double>& times,
-                       std::span<const double>& values) {
-    const std::span<const double> all = s.times();
-    const auto first = static_cast<std::size_t>(
-        std::lower_bound(all.begin(), all.end(), lo) - all.begin());
-    const auto last = static_cast<std::size_t>(
-        std::lower_bound(all.begin(), all.end(), t_end) - all.begin());
-    times = all.subspan(first, last - first);
-    values = s.values().subspan(first, last - first);
-    return first == 0 && last == all.size();
-  };
-  std::span<const double> ta, va_cut, tb, vb_cut;
-  const bool cut_a_full = cut(series_a, ta, va_cut);
-  const bool cut_b_full = cut(series_b, tb, vb_cut);
-  if (ta.size() < options.min_overlap_samples ||
-      tb.size() < options.min_overlap_samples) {
-    return false;
-  }
-  // A full cut is the whole series, which already passed the caller's
-  // usable-shape prefilter — re-running the Welford pass on the same
-  // values cannot change the answer. Only genuine sub-cuts re-check.
-  if ((!cut_a_full && !has_usable_shape(va_cut, options)) ||
-      (!cut_b_full && !has_usable_shape(vb_cut, options))) {
-    return false;
-  }
-  switch (options.alignment) {
-    case ComparisonOptions::Alignment::kMatchedSamples: {
-      // Identical strictly-increasing grids (the common shared-beacon-rate
-      // case): the matcher would pair every sample in order, so its output
-      // is the cut value spans verbatim (see match_samples_spans' fast
-      // path for the equivalence argument). Hand those spans out directly —
-      // they point into the series' own storage, no copy.
-      bool same_grid = ta.size() == tb.size() && !ta.empty() &&
-                       options.match_gap_s >= 0.0;
-      if (same_grid) {
-        for (std::size_t i = 0; i < ta.size(); ++i) {
-          if (ta[i] != tb[i] || (i > 0 && !(ta[i] > ta[i - 1]))) {
-            same_grid = false;
-            break;
-          }
-        }
-      }
-      if (same_grid) {
-        if (va_cut.size() < options.min_overlap_samples) return false;
-        out_a = va_cut;
-        out_b = vb_cut;
-        direct = true;
-        va_is_full = cut_a_full;
-        vb_is_full = cut_b_full;
-        return true;
-      }
-      match_samples_spans(ta, va_cut, tb, vb_cut, options.match_gap_s,
-                          scratch.va, scratch.vb);
-      if (scratch.va.size() < options.min_overlap_samples) return false;
-      // The matcher keeps values in order, so a side that lost nothing
-      // (full cut, every sample matched) is verbatim the full series.
-      va_is_full = cut_a_full && scratch.va.size() == va_cut.size();
-      vb_is_full = cut_b_full && scratch.vb.size() == vb_cut.size();
-      break;
-    }
-    case ComparisonOptions::Alignment::kResampleGrid: {
-      const auto grid_points = std::max<std::size_t>(
-          static_cast<std::size_t>((hi - lo) / options.grid_period_s) + 1, 2);
-      const ts::Series ra =
-          ts::Series(std::vector<double>(ta.begin(), ta.end()),
-                     std::vector<double>(va_cut.begin(), va_cut.end()))
-              .resample(grid_points);
-      const ts::Series rb =
-          ts::Series(std::vector<double>(tb.begin(), tb.end()),
-                     std::vector<double>(vb_cut.begin(), vb_cut.end()))
-              .resample(grid_points);
-      scratch.va.assign(ra.values().begin(), ra.values().end());
-      scratch.vb.assign(rb.values().begin(), rb.values().end());
-      break;
-    }
-    case ComparisonOptions::Alignment::kNone:
-      throw InternalError("cascade requires aligned pairs");
-  }
-  out_a = scratch.va;
-  out_b = scratch.vb;
-  return true;
-}
-
 // Per-step scale conversions under length_normalize: a warp path over two
 // length-L series has between L and 2L-1 cells, so accumulated-cost lower
 // bounds divide by the longest possible path and upper bounds by the
@@ -518,162 +475,31 @@ double ub_per_step(double acc, std::size_t len,
   return options.length_normalize ? acc / static_cast<double>(len) : acc;
 }
 
-// Phase A for one pair: cut + align + raw-domain sketches + the O(1)/O(n)
-// sketch bounds. Aligned values are parked in the worker's SoA arena; the
-// Z-images are deliberately NOT materialised — pruned pairs never pay the
-// Eq. 7 pass.
-void cascade_sketch_pair(const NamedSeries& ea, std::size_t idx_a,
-                         const NamedSeries& eb, std::size_t idx_b,
-                         const ComparisonOptions& options,
-                         PairScratch& scratch, std::size_t worker,
-                         std::span<const ts::SeriesSketch> series_sketches,
-                         PairDistance& p, CascadeRecord& rec) {
-  p.a = ea.first;
-  p.b = eb.first;
-  bool va_is_full = false;
-  bool vb_is_full = false;
-  std::span<const double> av, bv;
-  bool direct = false;
-  if (!cascade_align(ea, eb, options, scratch, va_is_full, vb_is_full, av, bv,
-                     direct)) {
-    p.comparable = false;
-    p.normalized = 1.0;
-    return;
-  }
-  VP_ENSURE(av.size() == bv.size() && !av.empty());
-  if (va_is_full) rec.zcache_a = static_cast<std::int64_t>(idx_a);
-  if (vb_is_full) rec.zcache_b = static_cast<std::int64_t>(idx_b);
-  rec.worker = worker;
-  rec.len = av.size();
-  if (direct) {
-    rec.direct_a = av.data();
-    rec.direct_b = bv.data();
-  } else {
-    std::vector<double>& arena = scratch.workspace.batch_values;
-    rec.offset = arena.size();
-    arena.insert(arena.end(), av.begin(), av.end());
-    arena.insert(arena.end(), bv.begin(), bv.end());
-  }
-  // A side aligned in full is the whole series, whose sketch the sweep
-  // precomputed once — a fleet-sized neighborhood would otherwise sketch
-  // every series N-1 times.
-  rec.sa = va_is_full && !series_sketches.empty()
-               ? series_sketches[idx_a]
-               : ts::sketch_series(av);
-  rec.sb = vb_is_full && !series_sketches.empty()
-               ? series_sketches[idx_b]
-               : ts::sketch_series(bv);
-  rec.lb =
-      lb_per_step(ts::lb_kim(rec.sa, rec.sb, options.cost), rec.len, options);
-  rec.ub = ub_per_step(
-      ts::diagonal_upper_bound(av, rec.sa, bv, rec.sb, options.cost), rec.len,
-      options);
-}
-
-std::span<const double> arena_a(std::span<const PairScratch> scratch,
-                                const CascadeRecord& rec) {
-  if (rec.direct_a) return {rec.direct_a, rec.len};
-  return {scratch[rec.worker].workspace.batch_values.data() + rec.offset,
-          rec.len};
-}
-std::span<const double> arena_b(std::span<const PairScratch> scratch,
-                                const CascadeRecord& rec) {
-  if (rec.direct_b) return {rec.direct_b, rec.len};
-  return {scratch[rec.worker].workspace.batch_values.data() + rec.offset +
-              rec.len,
-          rec.len};
-}
-
-// Tightens rec.lb with LB_Keogh (idempotent; reuses the workspace's
-// envelope buffers). `target` is the per-step value the refined bound
-// would have to clear for the caller's pruning test to fire: LB_Keogh
-// never exceeds the accumulated diagonal cost, so when even that cap
-// (ub·L/(2L-1) per step) cannot reach the target, the O(n·band) envelope
-// pass is provably pointless and skipped — the pair keeps its kSketch
-// stage and a later caller with a reachable target may still refine it.
-void refine_keogh(CascadeRecord& rec, std::span<const PairScratch> scratch_all,
-                  const ComparisonOptions& options, PairScratch& scratch,
-                  double target) {
-  if (rec.stage != Stage::kSketch) return;
-  const double cap =
-      options.length_normalize
-          ? rec.ub * (static_cast<double>(rec.len) /
-                      static_cast<double>(2 * rec.len - 1))
-          : rec.ub;
-  if (!(cap > target)) return;
-  rec.lb = std::max(
-      rec.lb,
-      lb_per_step(ts::lb_keogh(arena_a(scratch_all, rec), rec.sa,
-                               arena_b(scratch_all, rec), rec.sb,
-                               options.dtw_band, options.cost,
-                               scratch.workspace),
-                  rec.len, options));
-  rec.stage = Stage::kEnvelope;
-}
-
-// Runs the banded wavefront kernel against a per-step discard threshold:
-// abandoning (or completing with a banded bound past the threshold) lets
-// the caller discard the pair without the full solve. Materialises the
-// pair's Z-images into workspace.zx/zy as a side effect — a subsequent
-// resolve_fast_from_z reuses them.
+// Result of the banded wavefront kernel run against a per-step discard
+// threshold.
 struct KernelProbe {
-  double lb = 0.0;       // refined per-step lower bound
-  double raw = 0.0;      // exact per-step distance (kExactDtw, completed)
+  double lb = 0.0;   // refined per-step lower bound
+  double raw = 0.0;  // exact per-step distance (kExactDtw, completed)
   bool resolved = false;
-  // The integer Q4.12 tier proved the discard and the float kernel never
-  // ran (the caller tallies the pair as fixed_pruned, not early_abandoned).
-  bool fixed = false;
 };
 
-KernelProbe kernel_probe(std::span<const double> a, std::span<const double> b,
-                         const std::vector<double>* za_cache,
-                         const std::vector<double>* zb_cache,
+KernelProbe kernel_probe(std::span<const double> za,
+                         std::span<const double> zb,
                          const ComparisonOptions& options,
                          PairScratch& scratch, double discard_above) {
-  // A cached full-series Z-image is the image of these exact doubles
-  // (z_score_enhanced is a pure function of the value array), so copying
-  // it replaces the Welford pass bit for bit.
-  if (za_cache) {
-    scratch.workspace.zx = *za_cache;
-  } else {
-    ts::z_score_enhanced(a, scratch.workspace.zx);
-  }
-  if (zb_cache) {
-    scratch.workspace.zy = *zb_cache;
-  } else {
-    ts::z_score_enhanced(b, scratch.workspace.zy);
-  }
-  const double steps_max = static_cast<double>(2 * a.size() - 1);
-  KernelProbe probe;
-  if (options.fixed_lower_bound && std::isfinite(discard_above) &&
-      discard_above >= 0.0) {
-    // Integer pre-probe (DESIGN.md §15): the certified Q4.12 bound on the
-    // banded optimum lower-bounds the (Fast)DTW cost by the same subset
-    // argument as the float kernel below. The 1e-6 margin mirrors the
-    // abandon path's, so the caller's slack-padded re-check of the
-    // discard robustly fires.
-    const double flb_acc = ts::fixed_banded_lower_bound(
-        scratch.workspace.zx, scratch.workspace.zy, options.dtw_band,
-        options.cost, scratch.fixed);
-    const double flb =
-        options.length_normalize ? flb_acc / steps_max : flb_acc;
-    if (flb > 0.0 && flb > discard_above * (1.0 + 1e-6)) {
-      probe.lb = flb;
-      probe.fixed = true;
-      return probe;
-    }
-  }
+  const double steps_max = static_cast<double>(2 * za.size() - 1);
   double abandon_acc = std::numeric_limits<double>::infinity();
   if (std::isfinite(discard_above) && discard_above >= 0.0) {
     // Margin on top of the caller's threshold so the post-abandon check
-    // below robustly reproves the discard (1e-6 ≫ kBoundSlack).
+    // robustly reproves the discard (1e-6 ≫ kBoundSlack).
     abandon_acc = options.length_normalize
                       ? discard_above * steps_max * (1.0 + 1e-6)
                       : discard_above * (1.0 + 1e-6);
   }
-  const ts::BandedDistance kd = ts::banded_dtw_distance(
-      scratch.workspace.zx, scratch.workspace.zy, options.dtw_band,
-      options.cost, abandon_acc, options.use_simd, scratch.workspace);
+  const ts::BandedDistance kd =
+      ts::banded_dtw_distance(za, zb, options.dtw_band, options.cost,
+                              abandon_acc, scratch.workspace);
+  KernelProbe probe;
   if (kd.abandoned) {
     // The banded optimum provably exceeds abandon_acc.
     probe.lb = options.length_normalize ? abandon_acc / steps_max
@@ -681,9 +507,7 @@ KernelProbe kernel_probe(std::span<const double> a, std::span<const double> b,
     return probe;
   }
   if (options.distance == DistanceKind::kExactDtw) {
-    probe.raw = options.length_normalize
-                    ? kd.distance / static_cast<double>(kd.path_cells)
-                    : kd.distance;
+    probe.raw = per_step(kd.distance, kd.path_cells, options);
     probe.lb = probe.raw;
     probe.resolved = true;
     return probe;
@@ -695,34 +519,143 @@ KernelProbe kernel_probe(std::span<const double> a, std::span<const double> b,
   return probe;
 }
 
-// Full FastDTW solve on the Z-images already sitting in workspace.zx/zy —
-// the same expressions as pair_distance's kFastDtw branch, hence the same
-// bits.
-double resolve_fast_from_z(const ComparisonOptions& options,
-                           PairScratch& scratch) {
-  ts::fast_dtw(scratch.workspace.zx, scratch.workspace.zy,
-               {.radius = options.fastdtw_radius,
-                .cost = options.cost,
-                .band = options.dtw_band},
-               scratch.workspace, scratch.result);
-  return options.length_normalize
-             ? scratch.result.distance /
-                   static_cast<double>(scratch.result.path.size())
-             : scratch.result.distance;
-}
+// The per-round state of one cascade sweep and the per-pair operations
+// over it. Every operation takes the calling worker's scratch, so passes
+// parallelise over pairs without sharing mutable state.
+struct Cascade {
+  const ComparisonOptions& options;
+  std::span<const NamedSeries* const> usable;
+  std::span<const Job> jobs;
+  // Per usable series: its whole-series sketch and, when some pair
+  // aligned it in full, its Eq. 7 image. Both are exact caches — same
+  // function, same input — so a pair reusing them gets the same bits.
+  std::vector<ts::SeriesSketch> sketches;
+  std::vector<std::vector<double>> full_z;
 
-// Exact distance for one pair (Z-score + solve), used where no probe ran.
-double cascade_resolve(std::span<const double> a, std::span<const double> b,
-                       const std::vector<double>* za_cache,
-                       const std::vector<double>* zb_cache,
-                       const ComparisonOptions& options,
-                       PairScratch& scratch) {
-  const KernelProbe probe =
-      kernel_probe(a, b, za_cache, zb_cache, options, scratch,
-                   std::numeric_limits<double>::infinity());
-  if (probe.resolved) return probe.raw;
-  return resolve_fast_from_z(options, scratch);
-}
+  const ts::Series& series_a(std::size_t k) const {
+    return usable[jobs[k].first]->second;
+  }
+  const ts::Series& series_b(std::size_t k) const {
+    return usable[jobs[k].second]->second;
+  }
+
+  // Phase A for pair k: alignment, raw-domain sketches and the O(1)/O(n)
+  // sketch bounds. Pruned pairs never pay the Eq. 7 pass.
+  void sketch(std::size_t k, PairScratch& scratch, PairDistance& p,
+              CascadeRecord& rec) const {
+    p.a = usable[jobs[k].first]->first;
+    p.b = usable[jobs[k].second]->first;
+    AlignedPair al;
+    if (!align_pair(series_a(k), series_b(k), options, scratch.va, scratch.vb,
+                    al)) {
+      p.comparable = false;
+      p.normalized = 1.0;
+      return;
+    }
+    VP_ENSURE(al.a.size() == al.b.size() && !al.a.empty());
+    rec.len = al.a.size();
+    rec.a_full = al.a_full;
+    rec.b_full = al.b_full;
+    const auto [sa, sb] = sketch_pair(k, al);
+    rec.lb = lb_per_step(ts::lb_kim(sa, sb, options.cost), rec.len, options);
+    rec.ub = ub_per_step(
+        ts::diagonal_upper_bound(al.a, sa, al.b, sb, options.cost), rec.len,
+        options);
+  }
+
+  // Sketches of pair k's aligned sides: the cached whole-series sketch for
+  // a side aligned in full, a fresh one otherwise.
+  std::pair<ts::SeriesSketch, ts::SeriesSketch> sketch_pair(
+      std::size_t k, const AlignedPair& al) const {
+    return {al.a_full ? sketches[jobs[k].first] : ts::sketch_series(al.a),
+            al.b_full ? sketches[jobs[k].second] : ts::sketch_series(al.b)};
+  }
+
+  // Pair k's aligned values again, bit for bit as Phase A saw them.
+  AlignedPair realign(std::size_t k, const CascadeRecord& rec,
+                      PairScratch& scratch) const {
+    if (rec.a_full && rec.b_full) {
+      return {series_a(k).values(), series_b(k).values(), true, true};
+    }
+    AlignedPair al;
+    const bool comparable = align_pair(series_a(k), series_b(k), options,
+                                       scratch.va, scratch.vb, al);
+    VP_ENSURE(comparable && al.a.size() == rec.len);
+    return al;
+  }
+
+  // Pair k's Eq. 7 images, from the per-series cache where a side is
+  // aligned in full and into scratch.za/zb otherwise.
+  std::pair<std::span<const double>, std::span<const double>> z_images(
+      std::size_t k, const CascadeRecord& rec, PairScratch& scratch) const {
+    const AlignedPair al = realign(k, rec, scratch);
+    const auto image = [&](bool full, std::size_t series,
+                           std::span<const double> values,
+                           std::vector<double>& buffer) {
+      if (full) return std::span<const double>(full_z[series]);
+      ts::z_score_enhanced(values, buffer);
+      return std::span<const double>(buffer);
+    };
+    return {image(rec.a_full, jobs[k].first, al.a, scratch.za),
+            image(rec.b_full, jobs[k].second, al.b, scratch.zb)};
+  }
+
+  // Tightens rec.lb with LB_Keogh (idempotent). `target` is the per-step
+  // value the refined bound would have to clear for the caller's pruning
+  // test to fire: LB_Keogh never exceeds the accumulated diagonal cost, so
+  // when even that cap (ub·L/(2L-1) per step) cannot reach the target,
+  // the O(n·band) envelope pass is provably pointless and skipped — the
+  // pair keeps its kSketch stage and a later caller with a reachable
+  // target may still refine it.
+  void refine_keogh(std::size_t k, CascadeRecord& rec, PairScratch& scratch,
+                    double target) const {
+    if (rec.stage != Stage::kSketch) return;
+    const double cap =
+        options.length_normalize
+            ? rec.ub * (static_cast<double>(rec.len) /
+                        static_cast<double>(2 * rec.len - 1))
+            : rec.ub;
+    if (!(cap > target)) return;
+    const AlignedPair al = realign(k, rec, scratch);
+    const auto [sa, sb] = sketch_pair(k, al);
+    rec.lb = std::max(
+        rec.lb, lb_per_step(ts::lb_keogh(al.a, sa, al.b, sb, options.dtw_band,
+                                         options.cost, scratch.workspace),
+                            rec.len, options));
+    rec.stage = Stage::kEnvelope;
+  }
+
+  // Runs the banded kernel on pair k against a per-step discard threshold.
+  // When the probe does not settle the pair itself (exact DTW resolves in
+  // the kernel), it tightens rec.lb and asks `spared` whether that bound
+  // already decides what the caller needs; if not, the pair pays the
+  // exact FastDTW solve on the same Z-images. Either way the pair ends at
+  // stage kKernel (spared) or kFull (rec.raw exact).
+  template <typename Spared>
+  void probe(std::size_t k, CascadeRecord& rec, PairScratch& scratch,
+             double discard_above, Spared&& spared) const {
+    const auto [za, zb] = z_images(k, rec, scratch);
+    const KernelProbe kp =
+        kernel_probe(za, zb, options, scratch, discard_above);
+    rec.stage = std::max(rec.stage, Stage::kKernel);
+    if (kp.resolved) {
+      rec.raw = kp.raw;
+      rec.stage = Stage::kFull;
+      return;
+    }
+    rec.lb = std::max(rec.lb, kp.lb);
+    if (spared()) return;
+    rec.raw = fast_dtw_distance(za, zb, options, scratch);
+    rec.stage = Stage::kFull;
+  }
+
+  // Exact distance for pair k, where no threshold can spare the solve.
+  void resolve(std::size_t k, CascadeRecord& rec,
+               PairScratch& scratch) const {
+    probe(k, rec, scratch, std::numeric_limits<double>::infinity(),
+          [] { return false; });
+  }
+};
 
 }  // namespace
 
@@ -746,75 +679,35 @@ std::vector<PairDistance> compare_series_pruned(
     return pairs;
   }
 
-  std::vector<const NamedSeries*> usable;
-  for (const NamedSeries& entry : series) {
-    if (entry.second.size() < 2) continue;
-    if (!has_usable_shape(entry.second.values(), options)) continue;
-    usable.push_back(&entry);
-  }
+  const std::vector<const NamedSeries*> usable =
+      usable_series(series, options);
   std::vector<PairDistance> pairs;
   if (usable.size() < 2) {
     if (stats_out) *stats_out = stats;
     return pairs;
   }
-  std::vector<std::pair<std::size_t, std::size_t>> jobs;
-  jobs.reserve(usable.size() * (usable.size() - 1) / 2);
-  for (std::size_t i = 0; i + 1 < usable.size(); ++i) {
-    for (std::size_t j = i + 1; j < usable.size(); ++j) {
-      jobs.emplace_back(i, j);
-    }
-  }
+  const std::vector<Job> jobs = pair_jobs(usable.size());
   pairs.resize(jobs.size());
   std::vector<CascadeRecord> recs(jobs.size());
 
-  const bool instrumented = obs::enabled();
-  obs::ScopedTimer sweep_timer =
-      instrumented
-          ? obs::ScopedTimer(
-                &obs::registry().histogram("comparison.sweep_ns"),
-                obs::trace(),
-                {.phase = "comparison.sweep",
-                 .pairs = static_cast<std::int64_t>(jobs.size())})
-          : obs::ScopedTimer();
-
-  const std::size_t threads = std::min(
-      options.threads == 0 ? hardware_threads() : options.threads,
-      jobs.size());
+  obs::ScopedTimer timer = sweep_timer(jobs.size());
+  const std::size_t threads = sweep_threads(options, jobs.size());
   std::vector<PairScratch> scratch(std::max<std::size_t>(threads, 1));
-  const std::span<const PairScratch> scratch_view(scratch);
 
-  // Pre-size each worker's SoA arena: Phase A appends every pair's aligned
-  // values, and letting the vectors grow geometrically re-copies hundreds
-  // of kilobytes per round. Indices are claimed dynamically, so each
-  // worker sees roughly an even share; the 9/8 margin absorbs imbalance
-  // and any shortfall just falls back to growth.
-  {
-    std::size_t total = 0;
-    for (const auto& [i, j] : jobs) {
-      total +=
-          2 * std::min(usable[i]->second.size(), usable[j]->second.size());
-    }
-    const std::size_t share =
-        scratch.size() > 1 ? total / scratch.size() + total / 8 : total;
-    for (PairScratch& s : scratch) {
-      s.workspace.batch_values.reserve(std::min(total, share));
-    }
-  }
-
-  // Whole-series sketches, once per series: any pair that aligns a side in
-  // full reuses the cached sketch instead of re-summarising the same
-  // doubles (the cache is exact — same function, same input).
-  std::vector<ts::SeriesSketch> series_sketches(usable.size());
+  Cascade cascade{.options = options,
+                  .usable = usable,
+                  .jobs = jobs,
+                  .sketches = std::vector<ts::SeriesSketch>(usable.size()),
+                  .full_z = std::vector<std::vector<double>>(usable.size())};
+  // Whole-series sketches, once per series: a fleet-sized neighbourhood
+  // would otherwise sketch every series N-1 times.
   parallel_for(threads, usable.size(), [&](std::size_t, std::size_t i) {
-    series_sketches[i] = ts::sketch_series(usable[i]->second.values());
+    cascade.sketches[i] = ts::sketch_series(usable[i]->second.values());
   });
 
   // Phase A (parallel): cut, align, sketch. No Z-images, no DTW.
   parallel_for(threads, jobs.size(), [&](std::size_t worker, std::size_t k) {
-    cascade_sketch_pair(*usable[jobs[k].first], jobs[k].first,
-                        *usable[jobs[k].second], jobs[k].second, options,
-                        scratch[worker], worker, series_sketches, pairs[k],
-                        recs[k]);
+    cascade.sketch(k, scratch[worker], pairs[k], recs[k]);
   });
 
   std::vector<std::size_t> comparable;
@@ -828,21 +721,18 @@ std::vector<PairDistance> compare_series_pruned(
   // its Eq. 7 image — the hottest fixed cost of an exact resolve — is
   // computed once here instead of once per pair. Computed only for series
   // at least one pair actually aligned in full.
-  std::vector<std::vector<double>> full_z(usable.size());
   {
     std::vector<std::uint8_t> wanted(usable.size(), 0);
     for (const std::size_t k : comparable) {
-      if (recs[k].zcache_a >= 0) wanted[recs[k].zcache_a] = 1;
-      if (recs[k].zcache_b >= 0) wanted[recs[k].zcache_b] = 1;
+      if (recs[k].a_full) wanted[jobs[k].first] = 1;
+      if (recs[k].b_full) wanted[jobs[k].second] = 1;
     }
     parallel_for(threads, usable.size(), [&](std::size_t, std::size_t i) {
-      if (wanted[i]) ts::z_score_enhanced(usable[i]->second.values(),
-                                          full_z[i]);
+      if (wanted[i]) {
+        ts::z_score_enhanced(usable[i]->second.values(), cascade.full_z[i]);
+      }
     });
   }
-  const auto zcache = [&](std::int64_t idx) {
-    return idx >= 0 ? &full_z[static_cast<std::size_t>(idx)] : nullptr;
-  };
 
   const double thr = decision_threshold;
   const bool minmax = options.min_max_normalize &&
@@ -856,9 +746,9 @@ std::vector<PairDistance> compare_series_pruned(
     // UCR-style best-so-far searches locate them, skipping any pair whose
     // bound proves it cannot move the extreme — skipped pairs provably do
     // not change the extreme's value, so vmin/vmax come out bitwise
-    // identical to the exact path's minmax_element. Each search seeds a
-    // serial exact resolve of its strongest candidate, then fans the
-    // remaining skip tests out in parallel against that fixed target.
+    // identical to the reference sweep's. Each search seeds a serial
+    // exact resolve of its strongest candidate, then fans the remaining
+    // skip tests out in parallel against that fixed target.
     PairScratch& s0 = scratch[0];
 
     // Seed: the smallest-UB pair is the strongest minimum candidate;
@@ -870,32 +760,23 @@ std::vector<PairDistance> compare_series_pruned(
         seed = k;
       }
     }
-    {
-      CascadeRecord& rec = recs[seed];
-      rec.raw = cascade_resolve(arena_a(scratch_view, rec),
-                                arena_b(scratch_view, rec),
-                                zcache(rec.zcache_a), zcache(rec.zcache_b),
-                                options, s0);
-      rec.resolved = true;
-      rec.stage = Stage::kFull;
-    }
+    cascade.resolve(seed, recs[seed], s0);
     double best_min = recs[seed].raw;
 
-    // Envelope pass against the FIXED seed value, in arena (index) order
-    // and in parallel: the searches are correct under any visit order and
-    // any intermediate target — a skipped pair's certified lb exceeded a
-    // value that is itself >= the final minimum — and index order walks
-    // the SoA arena sequentially instead of striding it by sort rank,
-    // which at fleet scale is the difference between cache hits and a
-    // memory stall per pair. A fixed target also makes the pass
-    // embarrassingly parallel yet bitwise deterministic.
+    // Envelope pass against the FIXED seed value, in index order and in
+    // parallel: the searches are correct under any visit order and any
+    // intermediate target — a skipped pair's certified lb exceeded a value
+    // that is itself >= the final minimum. A fixed target also makes the
+    // pass embarrassingly parallel yet bitwise deterministic.
     const double m0 = best_min;
     parallel_for(threads, comparable.size(),
                  [&](std::size_t worker, std::size_t idx) {
-                   CascadeRecord& rec = recs[comparable[idx]];
-                   if (rec.resolved || slack_down(rec.lb) >= m0) return;
-                   refine_keogh(rec, scratch_view, options, scratch[worker],
-                                m0);
+                   const std::size_t k = comparable[idx];
+                   CascadeRecord& rec = recs[k];
+                   if (rec.stage == Stage::kFull || slack_down(rec.lb) >= m0) {
+                     return;
+                   }
+                   cascade.refine_keogh(k, rec, scratch[worker], m0);
                  });
 
     // The few pairs whose refined lb cannot rule them out (in practice the
@@ -903,32 +784,19 @@ std::vector<PairDistance> compare_series_pruned(
     // best-so-far tightening as it goes.
     for (const std::size_t k : comparable) {
       CascadeRecord& rec = recs[k];
-      if (rec.resolved) continue;
-      if (slack_down(rec.lb) >= best_min) continue;
-      const KernelProbe probe =
-          kernel_probe(arena_a(scratch_view, rec), arena_b(scratch_view, rec),
-                       zcache(rec.zcache_a), zcache(rec.zcache_b), options,
-                       s0, best_min);
-      const Stage probed = probe.fixed ? Stage::kFixed : Stage::kKernel;
-      if (rec.stage < probed) rec.stage = probed;
-      if (probe.resolved) {
-        rec.raw = probe.raw;
-        rec.resolved = true;
-        rec.stage = Stage::kFull;
-        best_min = std::min(best_min, rec.raw);
+      if (rec.stage == Stage::kFull || slack_down(rec.lb) >= best_min) {
         continue;
       }
-      rec.lb = std::max(rec.lb, probe.lb);
-      if (slack_down(rec.lb) >= best_min) continue;
-      rec.raw = resolve_fast_from_z(options, s0);
-      rec.resolved = true;
-      rec.stage = Stage::kFull;
-      best_min = std::min(best_min, rec.raw);
+      cascade.probe(k, rec, s0, best_min,
+                    [&] { return slack_down(rec.lb) >= best_min; });
+      if (rec.stage == Stage::kFull) best_min = std::min(best_min, rec.raw);
     }
 
     double best_max = -std::numeric_limits<double>::infinity();
     for (const std::size_t k : comparable) {
-      if (recs[k].resolved) best_max = std::max(best_max, recs[k].raw);
+      if (recs[k].stage == Stage::kFull) {
+        best_max = std::max(best_max, recs[k].raw);
+      }
     }
     // Seed the maximum search like the minimum one, with the two strongest
     // candidates: the largest-LB pair (the highest certified floor — its
@@ -936,28 +804,21 @@ std::vector<PairDistance> compare_series_pruned(
     // it the likely true maximum) and the largest-UB pair. Resolving both
     // pins best_max at (almost always) the true maximum, so the parallel
     // pass below only resolves the pairs whose padded UB genuinely exceeds
-    // it — the same set a UB-descending sorted sweep would resolve, but
-    // visited in arena order and concurrently.
-    const auto resolve_exact = [&](std::size_t k) {
-      CascadeRecord& rec = recs[k];
-      rec.raw = cascade_resolve(arena_a(scratch_view, rec),
-                                arena_b(scratch_view, rec),
-                                zcache(rec.zcache_a), zcache(rec.zcache_b),
-                                options, s0);
-      rec.resolved = true;
-      rec.stage = Stage::kFull;
-      best_max = std::max(best_max, rec.raw);
-    };
+    // it.
     const auto seed_by = [&](auto&& key) {
       std::size_t best = comparable.size();  // sentinel: none
       for (const std::size_t k : comparable) {
         const CascadeRecord& rec = recs[k];
-        if (rec.resolved || slack_up(rec.ub) <= best_max) continue;
+        if (rec.stage == Stage::kFull || slack_up(rec.ub) <= best_max) {
+          continue;
+        }
         if (best == comparable.size() || key(rec) > key(recs[best])) {
           best = k;
         }
       }
-      if (best != comparable.size()) resolve_exact(best);
+      if (best == comparable.size()) return;
+      cascade.resolve(best, recs[best], s0);
+      best_max = std::max(best_max, recs[best].raw);
     };
     seed_by([](const CascadeRecord& rec) { return rec.lb; });
     seed_by([](const CascadeRecord& rec) { return rec.ub; });
@@ -968,17 +829,17 @@ std::vector<PairDistance> compare_series_pruned(
     const double m1 = best_max;
     parallel_for(threads, comparable.size(),
                  [&](std::size_t worker, std::size_t idx) {
-                   CascadeRecord& rec = recs[comparable[idx]];
-                   if (rec.resolved || slack_up(rec.ub) <= m1) return;
-                   rec.raw = cascade_resolve(
-                       arena_a(scratch_view, rec), arena_b(scratch_view, rec),
-                       zcache(rec.zcache_a), zcache(rec.zcache_b), options,
-                       scratch[worker]);
-                   rec.resolved = true;
-                   rec.stage = Stage::kFull;
+                   const std::size_t k = comparable[idx];
+                   CascadeRecord& rec = recs[k];
+                   if (rec.stage == Stage::kFull || slack_up(rec.ub) <= m1) {
+                     return;
+                   }
+                   cascade.resolve(k, rec, scratch[worker]);
                  });
     for (const std::size_t k : comparable) {
-      if (recs[k].resolved) best_max = std::max(best_max, recs[k].raw);
+      if (recs[k].stage == Stage::kFull) {
+        best_max = std::max(best_max, recs[k].raw);
+      }
     }
 
     vmin = best_min;
@@ -993,12 +854,12 @@ std::vector<PairDistance> compare_series_pruned(
   // tier. The normalisation (v - vmin) / range is the same monotone
   // floating-point transform min_max_normalize applies, so comparing a
   // transformed bound against the threshold decides exactly like the
-  // exact path would.
+  // reference sweep would.
   if (degenerate) {
     const bool flag = 0.0 <= thr;
     for (const std::size_t k : comparable) {
       pairs[k].normalized = 0.0;
-      pairs[k].raw = recs[k].resolved ? recs[k].raw : recs[k].lb;
+      pairs[k].raw = recs[k].stage == Stage::kFull ? recs[k].raw : recs[k].lb;
       pairs[k].flagged = flag;
     }
   } else {
@@ -1006,7 +867,6 @@ std::vector<PairDistance> compare_series_pruned(
       const std::size_t k = comparable[idx];
       CascadeRecord& rec = recs[k];
       PairDistance& p = pairs[k];
-      PairScratch& local = scratch[worker];
       const auto norm = [&](double v) {
         return minmax ? (v - vmin) / range : v;
       };
@@ -1025,44 +885,23 @@ std::vector<PairDistance> compare_series_pruned(
         }
         return false;
       };
-      const auto finish_exact = [&]() {
-        p.raw = rec.raw;
-        p.normalized = norm(rec.raw);
-        p.flagged = p.normalized <= thr;
-      };
-      if (rec.resolved) {
-        finish_exact();
-        return;
+      if (rec.stage != Stage::kFull) {
+        if (decide()) return;
+        // Raw-domain value past which "not flagged" is provable; the probe
+        // pads it, and the decision is re-verified through `decide`.
+        const double discard = minmax ? vmin + thr * range : thr;
+        cascade.refine_keogh(k, rec, scratch[worker], discard);
+        if (decide()) return;
+        cascade.probe(k, rec, scratch[worker], discard, decide);
+        if (rec.stage != Stage::kFull) return;
       }
-      if (decide()) return;
-      // Raw-domain value past which "not flagged" is provable; the probe
-      // pads it, and the decision is re-verified through `decide`.
-      const double discard = minmax ? vmin + thr * range : thr;
-      refine_keogh(rec, scratch_view, options, local, discard);
-      if (decide()) return;
-      const KernelProbe probe =
-          kernel_probe(arena_a(scratch_view, rec), arena_b(scratch_view, rec),
-                       zcache(rec.zcache_a), zcache(rec.zcache_b), options,
-                       local, discard);
-      const Stage probed = probe.fixed ? Stage::kFixed : Stage::kKernel;
-      if (rec.stage < probed) rec.stage = probed;
-      if (probe.resolved) {
-        rec.raw = probe.raw;
-        rec.resolved = true;
-        rec.stage = Stage::kFull;
-        finish_exact();
-        return;
-      }
-      rec.lb = std::max(rec.lb, probe.lb);
-      if (decide()) return;
-      rec.raw = resolve_fast_from_z(options, local);
-      rec.resolved = true;
-      rec.stage = Stage::kFull;
-      finish_exact();
+      p.raw = rec.raw;
+      p.normalized = norm(rec.raw);
+      p.flagged = p.normalized <= thr;
     };
     parallel_for(threads, comparable.size(), classify);
   }
-  sweep_timer.stop();
+  timer.stop();
 
   for (const std::size_t k : comparable) {
     switch (recs[k].stage) {
@@ -1071,9 +910,6 @@ std::vector<PairDistance> compare_series_pruned(
         break;
       case Stage::kEnvelope:
         ++stats.lb_keogh_pruned;
-        break;
-      case Stage::kFixed:
-        ++stats.fixed_pruned;
         break;
       case Stage::kKernel:
         ++stats.early_abandoned;
@@ -1084,31 +920,14 @@ std::vector<PairDistance> compare_series_pruned(
     }
   }
 
-  if (instrumented) {
+  if (obs::enabled()) {
+    record_sweep(series.size(), usable.size(), jobs.size(), comparable.size(),
+                 scratch);
     obs::MetricsRegistry& registry = obs::registry();
-    registry.counter("comparison.sweeps").add(1);
-    registry.counter("comparison.series_heard").add(series.size());
-    registry.counter("comparison.series_usable").add(usable.size());
-    registry.counter("comparison.pairs_total").add(jobs.size());
-    registry.counter("comparison.pairs_comparable").add(comparable.size());
-    registry.counter("comparison.pairs_incomparable")
-        .add(jobs.size() - comparable.size());
     registry.counter("dtw.lb_kim_pruned").add(stats.lb_kim_pruned);
     registry.counter("dtw.lb_keogh_pruned").add(stats.lb_keogh_pruned);
-    registry.counter("dtw.fixed_pruned").add(stats.fixed_pruned);
     registry.counter("dtw.early_abandoned").add(stats.early_abandoned);
     registry.counter("dtw.full_sweeps").add(stats.full_sweeps);
-    ts::DtwWorkspace::Stats dtw_stats;
-    for (const PairScratch& s : scratch) {
-      dtw_stats.dp_solves += s.workspace.stats.dp_solves;
-      dtw_stats.cells += s.workspace.stats.cells;
-      dtw_stats.grows += s.workspace.stats.grows;
-    }
-    registry.counter("dtw.dp_solves").add(dtw_stats.dp_solves);
-    registry.counter("dtw.cells_expanded").add(dtw_stats.cells);
-    registry.counter("dtw.workspace_grows").add(dtw_stats.grows);
-    registry.counter("dtw.workspace_reuse_hits")
-        .add(dtw_stats.dp_solves - dtw_stats.grows);
   }
   if (stats_out) *stats_out = stats;
   return pairs;

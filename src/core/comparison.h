@@ -26,12 +26,12 @@ struct PairDistance {
   // (identities of one radio always interleave in time, so such a pair is
   // conservatively treated as non-Sybil: normalized is pinned to 1).
   bool comparable = true;
-  // Threshold verdict (normalized <= decision threshold). Filled by
-  // compare_series_pruned; the exact path leaves it to the detector, which
-  // stamps it after applying the density-dependent boundary. For a pair
-  // the cascade classified from bounds alone, `flagged` is exact (provably
-  // identical to the full computation) while `raw`/`normalized` hold the
-  // proving bound, not the exact distance — see compare_series_pruned.
+  // Threshold verdict (normalized <= decision threshold), filled by
+  // compare_series_pruned; compare_series leaves it false. For a pair the
+  // cascade decided from bounds alone, `flagged` is exact (provably
+  // identical to the reference sweep's verdict) while `raw`/`normalized`
+  // hold the proving bound, not the distance. Output that reports a
+  // pair's distance as a measurement takes it from compare_series.
   bool flagged = false;
 };
 
@@ -103,48 +103,27 @@ struct ComparisonOptions {
   double min_overlap_s = 5.0;
   std::size_t min_overlap_samples = 10;
   // Worker threads for the pairwise sweep (the hot path: a confirmation
-  // round over 80 neighbours is 3160 FastDTW calls). 1 = serial on the
-  // calling thread; 0 = all hardware threads. Each worker owns one
+  // round over 80 neighbours is 3160 pairs). 1 = serial on the calling
+  // thread; 0 = all hardware threads. Each worker owns one
   // ts::DtwWorkspace and the (i,j) pairs are enumerated up front and
   // written into pre-sized slots, so the output — and therefore Eq. 8
   // min–max normalisation and everything downstream — is bit-identical
   // for every thread count.
   std::size_t threads = 1;
-  // True (the default, and what every test pins) runs the reference path:
-  // every pair pays its full (Fast)DTW solve. False lets the detector use
-  // compare_series_pruned — the UCR-style lower-bound cascade — which is
-  // guaranteed verdict-identical but reports bound values instead of exact
-  // distances for the pairs it prunes. Flipped by the drivers' --prune.
-  bool exact_mode = true;
-  // Use the vectorised wavefront kernel for surviving band sweeps when the
-  // build has a vector backend (timeseries/simd.h). The scalar sweep is
-  // bit-identical; this flag only trades speed, never results. Flipped by
-  // the drivers' --simd.
-  bool use_simd = true;
-  // Insert the int16 Q4.12 quantised banded-DTW tier (timeseries/fixed.h,
-  // DESIGN.md §15) between the envelope bounds and the float kernel in
-  // compare_series_pruned: when the certified integer bound already
-  // clears the discard threshold the float kernel never runs. Like the
-  // rest of the cascade this is verdict-identical by construction — the
-  // deflated bound is a true lower bound — so the flag only trades work.
-  // No effect in exact_mode. Flipped by the drivers' --fixedlb.
-  bool fixed_lower_bound = false;
 };
 
 // Per-sweep exit-tier tally of the lower-bound cascade. Every comparable
 // pair exits at exactly one tier, so
-//   comparable pairs = lb_kim_pruned + lb_keogh_pruned + fixed_pruned
-//                      + early_abandoned + full_sweeps
-// (the conservation law check_run_report enforces on BENCH_comparison.json).
-// The same tallies are also accumulated on the obs registry counters
-// dtw.lb_kim_pruned / dtw.lb_keogh_pruned / dtw.fixed_pruned /
-// dtw.early_abandoned / dtw.full_sweeps.
+//   comparable pairs = lb_kim_pruned + lb_keogh_pruned + early_abandoned
+//                      + full_sweeps
+// (the conservation.dtw.tiers law in obs::conservation_laws()). The same
+// tallies are also accumulated on the obs registry counters
+// dtw.lb_kim_pruned / dtw.lb_keogh_pruned / dtw.early_abandoned /
+// dtw.full_sweeps.
 struct CascadeStats {
   std::uint64_t lb_kim_pruned = 0;   // decided from the Phase-A sketch
                                      // bounds alone (LB_Kim + diagonal UB)
   std::uint64_t lb_keogh_pruned = 0; // needed the Sakoe–Chiba envelopes
-  std::uint64_t fixed_pruned = 0;    // decided by the int16 Q4.12 integer
-                                     // DTW bound (fixed_lower_bound only)
   std::uint64_t early_abandoned = 0; // entered the DTW recurrence but the
                                      // banded bound pruned it before a
                                      // full solve (abandoned or completed)
@@ -153,30 +132,34 @@ struct CascadeStats {
 
 using NamedSeries = std::pair<IdentityId, ts::Series>;
 
-// Pairwise distances over all series (i < j ordering, as in Algorithm 1
-// lines 4–10). Series shorter than 2 samples are skipped. With fewer than
-// two usable series the result is empty.
+// The reference sweep: every comparable pair pays its full distance solve
+// and carries its exact distance (i < j ordering, as in Algorithm 1 lines
+// 4–10). Series shorter than 2 samples are skipped. With fewer than two
+// usable series the result is empty. The detector runs
+// compare_series_pruned; this sweep is its test oracle, feeds Fig. 10
+// threshold training (compare_window) and the cascade's own fallback, and
+// supplies the distances that output prints as measurements.
 std::vector<PairDistance> compare_series(std::span<const NamedSeries> series,
                                          const ComparisonOptions& options = {});
 
-// The pruned comparison sweep (ISSUE 6 tentpole). Same pair enumeration
-// and comparability rules as compare_series, but each pair runs the
-// cascade LB_Kim → LB_Keogh → early-abandoning banded DTW and exits at the
-// cheapest tier that already proves which side of `decision_threshold` its
-// Eq. 8-normalised distance falls on. Contract, for every thread count:
+// The detector's comparison sweep. Same pair enumeration and comparability
+// rules as compare_series, but each pair runs the cascade LB_Kim →
+// LB_Keogh → early-abandoning banded DTW and exits at the cheapest tier
+// that already proves which side of `decision_threshold` its Eq.
+// 8-normalised distance falls on. Contract, for every thread count:
 //
-//   * `comparable` and `flagged` are bit-identical to what the exact path
+//   * `comparable` and `flagged` are bit-identical to what compare_series
 //     plus `normalized <= decision_threshold` would produce. Eq. 8's
 //     population min/max are located EXACTLY (best-so-far searches that
 //     only skip pairs provably unable to move an extreme), and pruning
 //     decisions compare slack-padded bounds through the same monotone
-//     floating-point transform the exact path applies, so no rounding
+//     floating-point transform the reference applies, so no rounding
 //     difference can flip a verdict.
 //   * pairs the cascade had to resolve exactly also carry bit-identical
-//     `raw` and `normalized`; pruned pairs carry the proving bound in
-//     those fields instead (documented diagnostics-only).
+//     `raw` and `normalized`; pairs decided from bounds carry the proving
+//     bound in those fields instead (see PairDistance::flagged).
 //
-// Falls back to the exact sweep (tallying every comparable pair as a full
+// Falls back to compare_series (tallying every comparable pair as a full
 // sweep) for option combinations outside the cascade's reach: Euclidean
 // distance, kNone alignment (unequal lengths), disabled Z-scoring, or
 // FastDTW with an unconstrained band (no admissible-diagonal upper bound).

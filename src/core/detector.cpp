@@ -19,10 +19,7 @@ VoiceprintOptions tuned_simulation_options(std::size_t threads) {
 }
 
 VoiceprintOptions with_run_flags(VoiceprintOptions options,
-                                 const RunFlags& flags) {
-  options.comparison.exact_mode = !flags.prune;
-  options.comparison.use_simd = flags.simd;
-  options.comparison.fixed_lower_bound = flags.fixed_lb;
+                                 const RunFlags& /*flags*/) {
   return options;
 }
 
@@ -39,22 +36,13 @@ std::vector<IdentityId> VoiceprintDetector::detect_series(
           : obs::ScopedTimer();
 
   // The decision threshold only depends on the density, so it is known
-  // before any distance is measured — which is exactly what lets the pruned
-  // sweep classify pairs from bounds without computing their distances.
+  // before any distance is measured — which is exactly what lets the
+  // cascade classify pairs from bounds without computing their distances.
   const double density =
       options_.fixed_density_per_km.value_or(density_per_km);
   last_threshold_ = options_.boundary.threshold_at(density);
-
-  if (options_.comparison.exact_mode) {
-    last_all_ = compare_series(series, options_.comparison);
-    for (PairDistance& pair : last_all_) {
-      pair.flagged = pair.comparable &&
-                     options_.boundary.is_sybil(density, pair.normalized);
-    }
-  } else {
-    last_all_ = compare_series_pruned(series, options_.comparison,
-                                      last_threshold_);
-  }
+  last_all_ =
+      compare_series_pruned(series, options_.comparison, last_threshold_);
   last_flagged_.clear();
 
   // Threshold-and-vote is the per-period decision step that the paper's

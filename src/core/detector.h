@@ -3,6 +3,9 @@
 // pairwise FastDTW distances, min–max normalise them, and flag every pair
 // whose distance falls at or under the density-dependent threshold
 // k·den + b. The union of flagged pairs' identities is the suspect set.
+// The threshold is known before any distance is measured, so the sweep is
+// the lower-bound cascade (compare_series_pruned): it settles most pairs
+// from bounds and returns exactly the reference sweep's verdicts.
 //
 // Voiceprint is *independent* (uses only the local observation window) and
 // *model-free* (never evaluates a propagation model).
@@ -42,12 +45,8 @@ struct VoiceprintOptions {
 // 1 = serial, 0 = all hardware threads) and never changes the results.
 VoiceprintOptions tuned_simulation_options(std::size_t threads = 1);
 
-// Applies the shared --prune/--simd/--fixedlb run flags (common/cli.h) to
-// an option set: --prune routes detection through the lower-bound cascade
-// (compare_series_pruned; verdicts identical to the exact sweep), --simd
-// selects the vectorised band-sweep kernel, --fixedlb arms the int16
-// integer-DTW tier inside that cascade. Every driver that exposes the
-// flags funnels them through here so the mapping stays in one place.
+// Returns `options` unchanged. Kept only for pipebench/pipeline.cpp,
+// which calls it with a default RunFlags; new code should not call it.
 VoiceprintOptions with_run_flags(VoiceprintOptions options,
                                  const RunFlags& flags);
 
@@ -73,8 +72,11 @@ class VoiceprintDetector final : public sim::Detector {
   std::string_view name() const override { return "Voiceprint"; }
   const VoiceprintOptions& options() const { return options_; }
 
-  // Diagnostics from the last detect_* call; the field-test harness plots
-  // these per-pair distances against the threshold (Fig. 13).
+  // Per-pair results of the last detect_* call, from the lower-bound
+  // cascade (compare_series_pruned): `comparable` and `flagged` are exact,
+  // but a pair decided from bounds carries its proving bound in
+  // `raw`/`normalized`, not its distance. Output that prints distances
+  // (the Fig. 13 replay, the examples) takes them from compare_series.
   const std::vector<PairDistance>& last_flagged_pairs() const {
     return last_flagged_;
   }

@@ -48,15 +48,23 @@ FieldReplayResult replay_field_test(const FieldTestData& data,
       detection.time_s = t1;
       detection.observer = observer;
       detection.threshold = detector.last_threshold();
-      for (const core::PairDistance& pair : detector.last_all_pairs()) {
+      // Verdicts come from the detector. Its cascade carries bounds for the
+      // pairs it decided early, so the distances Fig. 13 plots come from
+      // the reference sweep over the same series.
+      const std::vector<core::PairDistance>& verdicts =
+          detector.last_all_pairs();
+      const std::vector<core::PairDistance> measured =
+          core::compare_series(series, vp_options.comparison);
+      VP_ENSURE(measured.size() == verdicts.size());
+      for (std::size_t i = 0; i < verdicts.size(); ++i) {
+        const core::PairDistance& pair = verdicts[i];
         const bool same_radio = FieldTestData::identity_owner(pair.a) ==
                                 FieldTestData::identity_owner(pair.b);
-        detection.pairs.push_back(
-            {.a = pair.a,
-             .b = pair.b,
-             .distance = pair.normalized,
-             .sybil_pair = same_radio,
-             .flagged = pair.normalized <= detection.threshold});
+        detection.pairs.push_back({.a = pair.a,
+                                   .b = pair.b,
+                                   .distance = measured[i].normalized,
+                                   .sybil_pair = same_radio,
+                                   .flagged = pair.flagged});
       }
       detection.flagged = flagged;
       for (const auto& [id, s] : series) {

@@ -17,9 +17,9 @@ namespace vp::ft {
 struct PairRecord {
   IdentityId a = kInvalidIdentity;
   IdentityId b = kInvalidIdentity;
-  double distance = 0.0;  // normalised DTW distance
+  double distance = 0.0;  // normalised DTW distance (reference sweep)
   bool sybil_pair = false;  // ground truth: same physical radio
-  bool flagged = false;     // distance <= threshold
+  bool flagged = false;     // the detector's verdict: distance <= threshold
 };
 
 struct FieldDetection {

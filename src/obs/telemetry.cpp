@@ -122,8 +122,8 @@ const std::vector<ConservationLaw>& conservation_laws() {
        false},
       {"conservation.dtw.tiers",
        {"comparison.pairs_comparable"},
-       {"dtw.lb_kim_pruned", "dtw.lb_keogh_pruned", "dtw.fixed_pruned",
-        "dtw.early_abandoned", "dtw.full_sweeps"},
+       {"dtw.lb_kim_pruned", "dtw.lb_keogh_pruned", "dtw.early_abandoned",
+        "dtw.full_sweeps"},
        {},
        true},
   };

@@ -126,18 +126,13 @@ struct DtwWorkspace {
   std::vector<std::size_t> proj_lo, proj_hi;
   std::vector<unsigned char> proj_set;
   // Lower-bound cascade scratch (timeseries/lower_bound.h): cached
-  // Sakoe–Chiba envelopes for LB_Keogh, the materialised Z-images of the
-  // pair under comparison plus a reversed-x copy (so the anti-diagonal
-  // wavefront kernel reads x with contiguous loads), and the kernel's
-  // rotating wavefront diagonals — accumulated cost and path length kept
-  // as two structure-of-arrays triples.
+  // Sakoe–Chiba envelopes for LB_Keogh, a reversed-x copy (so the
+  // anti-diagonal wavefront kernel reads x with contiguous loads), and the
+  // kernel's rotating wavefront diagonals — accumulated cost and path
+  // length kept as two structure-of-arrays triples.
   std::vector<double> env_lo, env_hi;
-  std::vector<double> zx, zy, zx_rev;
+  std::vector<double> zx_rev;
   std::array<std::vector<double>, 3> wave_d, wave_l;
-  // SoA batch arena: core::compare_series parks each worker's aligned
-  // pair values here back-to-back during the cascade's bound pass, so the
-  // resolve pass re-reads them without per-pair allocations.
-  std::vector<double> batch_values;
 
   Stats stats;
 };

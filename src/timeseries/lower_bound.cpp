@@ -247,8 +247,9 @@ namespace {
 // parents. Path lengths ride along as doubles (exact up to 2^53) through
 // the same select tie-break — diag first, then left, then up, strict < —
 // that dtw_windowed uses, so both the distance and the path length are
-// bit-identical to dtw_banded()/dtw().
-template <bool kSquaredCost, bool kVector>
+// bit-identical to dtw_banded()/dtw(). Vectorised when the build carries a
+// vector backend; the scalar tail loop alone is the VP_SIMD=scalar build.
+template <bool kSquaredCost>
 BandedDistance wavefront_sweep(const double* xr, const double* y,
                                std::ptrdiff_t n, std::ptrdiff_t w,
                                double abandon_above, DtwWorkspace& workspace) {
@@ -295,7 +296,7 @@ BandedDistance wavefront_sweep(const double* xr, const double* y,
       // x[i] = x[k-j] = xr[n-1-k+j]: contiguous in j via the reversed copy.
       const double* xrow = xr + (n - 1 - k);
       std::ptrdiff_t j = jlo;
-      if constexpr (kVector) {
+      if constexpr (simd::vectorized()) {
         const std::ptrdiff_t kW =
             static_cast<std::ptrdiff_t>(simd::kWidth);
         simd::VecD acc = simd::set1(kInf);
@@ -444,7 +445,7 @@ BandedDistance row_sweep(const double* x, const double* y, std::ptrdiff_t n,
 BandedDistance banded_dtw_distance(std::span<const double> x,
                                    std::span<const double> y, std::size_t band,
                                    LocalCost cost, double abandon_above,
-                                   bool use_simd, DtwWorkspace& workspace) {
+                                   DtwWorkspace& workspace) {
   VP_REQUIRE(x.size() == y.size() && !x.empty());
   const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(x.size());
   // band 0 means unconstrained; a band covering the whole matrix is the
@@ -453,9 +454,9 @@ BandedDistance banded_dtw_distance(std::span<const double> x,
   if (w == 0 || w > n - 1) w = n - 1;
 
   // Narrow bands take the row sweep. Dispatch on band geometry only, NOT
-  // on use_simd: both traversals are bit-identical in results, but they
-  // abandon at different points, and the scalar and vector builds must
-  // stay trivially identical in every observable.
+  // on the build's vector backend: both traversals are bit-identical in
+  // results, but they abandon at different points, and the scalar and
+  // vector builds must stay trivially identical in every observable.
   if (2 * w + 1 <= 9 && n > 1) {
     return cost == LocalCost::kSquared
                ? row_sweep<true>(x.data(), y.data(), n, w, abandon_above,
@@ -469,17 +470,11 @@ BandedDistance banded_dtw_distance(std::span<const double> x,
   xr.resize(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) xr[i] = x[x.size() - 1 - i];
 
-  const bool vec = use_simd && simd::vectorized();
-  if (cost == LocalCost::kSquared) {
-    return vec ? wavefront_sweep<true, true>(xr.data(), y.data(), n, w,
-                                             abandon_above, workspace)
-               : wavefront_sweep<true, false>(xr.data(), y.data(), n, w,
-                                              abandon_above, workspace);
-  }
-  return vec ? wavefront_sweep<false, true>(xr.data(), y.data(), n, w,
-                                            abandon_above, workspace)
-             : wavefront_sweep<false, false>(xr.data(), y.data(), n, w,
-                                             abandon_above, workspace);
+  return cost == LocalCost::kSquared
+             ? wavefront_sweep<true>(xr.data(), y.data(), n, w, abandon_above,
+                                     workspace)
+             : wavefront_sweep<false>(xr.data(), y.data(), n, w,
+                                      abandon_above, workspace);
 }
 
 }  // namespace vp::ts

@@ -2,7 +2,8 @@
 // anti-diagonal wavefront kernel that replaces the row-sliced windowed DP
 // for the band sweeps that survive pruning.
 //
-// The comparison hot path (core::compare_series) measures the banded
+// The detector's comparison sweep (core::compare_series_pruned) measures
+// the banded
 // (Fast)DTW distance between the enhanced Z-images (Eq. 7) of two aligned
 // RSSI series and classifies each pair against a threshold. Most pairs are
 // nowhere near the threshold, so a cascade of ever-tighter, ever-costlier
@@ -121,15 +122,16 @@ struct BandedDistance {
   bool abandoned = false;
 };
 
-// Banded DTW distance between equal-length series by anti-diagonal
-// wavefront, vectorised via timeseries/simd.h when `use_simd` (the scalar
-// sweep is bit-identical — same operations, same tie-breaks). `band` as in
+// Banded DTW distance between equal-length series. Narrow bands take a
+// row sweep; wider ones an anti-diagonal wavefront, vectorised via
+// timeseries/simd.h when the build carries a vector backend (the scalar
+// build is bit-identical — same operations, same tie-breaks). `band` as in
 // dtw_banded; band == 0 or band >= n-1 sweeps the full matrix, matching
 // plain dtw(). Pass abandon_above = +infinity to disable early abandoning.
 BandedDistance banded_dtw_distance(std::span<const double> x,
                                    std::span<const double> y, std::size_t band,
                                    LocalCost cost, double abandon_above,
-                                   bool use_simd, DtwWorkspace& workspace);
+                                   DtwWorkspace& workspace);
 
 // Name of the compiled-in SIMD backend ("avx2", "neon" or "scalar"), for
 // bench artefacts and run reports.

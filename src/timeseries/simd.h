@@ -12,8 +12,8 @@
 // double operation per lane (add, sub, mul, min, compare, select). No
 // horizontal reduction reorders additions and the kernels never use FMA,
 // so a computation expressed through VecD produces bit-identical results
-// on every backend — which is what lets the pruned cascade share parity
-// tests with the scalar reference path. (-ffp-contract=off in the
+// on every backend — which is what lets the detector's cascade pass the
+// same oracle parity tests in every build. (-ffp-contract=off in the
 // top-level CMakeLists keeps the scalar compiler output to the same
 // contract.)
 #pragma once
@@ -121,8 +121,10 @@ inline double horizontal_min(VecD a) { return a.v; }
 
 #endif
 
-// True when the build carries a real vector backend (width > 1); the
-// `--simd` runtime flag can still force the scalar sweep for A/B runs.
+// True when the build carries a real vector backend (width > 1). The
+// backend is chosen at build time only: banded_dtw_distance's wavefront
+// uses it whenever it exists, and a VP_SIMD=scalar build is the parity
+// reference.
 inline constexpr bool vectorized() { return kWidth > 1; }
 
 }  // namespace vp::ts::simd

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "fieldtest/area.h"
 #include "fieldtest/replay.h"
 #include "fieldtest/scenario3.h"
@@ -191,6 +195,48 @@ TEST(Replay, StationaryUrbanPhasesCanConfuse) {
     EXPECT_GT(fp.dist_observer_attacker_m, 0.0);
   }
   EXPECT_GT(result.detection_rate, 0.8);
+}
+
+// Pins the full Fig. 13 run exactly as bench/fig13_field_test performs it
+// at its default seeds (base 1306, one seed per area): per-area detection
+// counts, complete detections, the single false positive and the average
+// detection rate. The replay is deterministic, so every figure is exact.
+TEST(Replay, Fig13OutcomeAtDefaultSeeds) {
+  const std::vector<std::size_t> detections = {14, 23, 35, 11};
+  const std::vector<std::size_t> complete = {14, 23, 16, 11};
+  double dr_sum = 0.0;
+  std::size_t normal_verdicts = 0;
+  std::vector<std::pair<Area, FalsePositiveAnalysis>> false_positives;
+  std::size_t area_idx = 0;
+  for (Area area : all_areas()) {
+    SCOPED_TRACE(std::string(area_name(area)));
+    FieldTestConfig config;
+    config.area = area;
+    config.duration_s = area_duration_s(area);
+    config.seed = 1306 + area_idx;
+    const FieldReplayResult result = replay_field_test(run_field_test(config));
+
+    std::size_t full = 0;
+    for (const FieldDetection& d : result.detections) {
+      full += d.complete_detection() ? 1 : 0;
+      normal_verdicts += d.normal_identities_heard;
+    }
+    EXPECT_EQ(result.detection_count, detections[area_idx]);
+    EXPECT_EQ(full, complete[area_idx]);
+    for (const FalsePositiveAnalysis& fp : result.false_positives) {
+      false_positives.emplace_back(area, fp);
+    }
+    dr_sum += result.detection_rate;
+    ++area_idx;
+  }
+  EXPECT_EQ(normal_verdicts, 131u);
+  ASSERT_EQ(false_positives.size(), 1u);
+  const auto& [fp_area, fp] = false_positives.front();
+  EXPECT_EQ(fp_area, Area::kUrban);
+  EXPECT_DOUBLE_EQ(fp.time_s, 1520.0);
+  EXPECT_EQ(fp.victim, static_cast<IdentityId>(kNormalNode2));
+  EXPECT_NEAR(fp.dist_attacker_victim_m, 3.0, 0.05);
+  EXPECT_NEAR(dr_sum / static_cast<double>(area_idx), 0.9060, 5e-5);
 }
 
 }  // namespace

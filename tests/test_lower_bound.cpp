@@ -5,13 +5,15 @@
 //     ramps, near-flat traces that defeat the approximate sketch, and
 //     fault-injected beacon streams), every band and both local costs.
 //   * Kernel parity — banded_dtw_distance is bit-identical in distance
-//     AND path cell count to dtw_banded()/dtw(), scalar or SIMD, narrow
-//     bands (row sweep) and wide (wavefront).
+//     AND path cell count to dtw_banded()/dtw(), narrow bands (row sweep)
+//     and wide (wavefront), with whichever vector backend the build
+//     carries (the VP_SIMD=scalar build runs the same suite).
 //   * Abandon soundness — an abandoned sweep proves the distance exceeds
 //     the ceiling; a ceiling at or above the true distance never
 //     abandons and returns the exact answer.
-//   * Verdict parity — compare_series_pruned flags exactly the pairs the
-//     exact sweep flags (and the detector the same suspects) over random
+//   * Verdict parity — the detector (whose sweep is compare_series_pruned)
+//     flags exactly the pairs and suspects the reference sweep
+//     (compare_series, tests/detector_oracle.h) flags over random
 //     bundles, highway-simulator windows and field-test replays, at
 //     every thread count, with the exit-tier conservation law intact.
 #include "timeseries/lower_bound.h"
@@ -26,6 +28,8 @@
 #include "common/rng.h"
 #include "core/comparison.h"
 #include "core/detector.h"
+#include "core/threshold.h"
+#include "detector_oracle.h"
 #include "fault/injector.h"
 #include "fieldtest/replay.h"
 #include "sim/world.h"
@@ -165,22 +169,18 @@ TEST(LowerBound, KernelBitIdenticalToReferenceDtw) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   for (const ts::LocalCost cost :
        {ts::LocalCost::kSquared, ts::LocalCost::kAbsolute}) {
-    for (const bool simd : {false, true}) {
-      // Narrow bands run the row sweep, wide ones the wavefront; 0 and
-      // >= n-1 sweep the full matrix and must match plain dtw().
-      for (const std::size_t band :
-           {0ul, 1ul, 2ul, 3ul, 5ul, 8ul, 32ul, kLen - 1, kLen + 10}) {
-        const ts::BandedDistance got =
-            ts::banded_dtw_distance(a, b, band, cost, kInf, simd, workspace);
-        const ts::DtwResult ref = (band == 0 || band >= kLen - 1)
-                                      ? ts::dtw(a, b, cost)
-                                      : ts::dtw_banded(a, b, band, cost);
-        EXPECT_FALSE(got.abandoned);
-        EXPECT_EQ(got.distance, ref.distance)
-            << "band=" << band << " simd=" << simd;
-        EXPECT_EQ(got.path_cells, ref.path.size())
-            << "band=" << band << " simd=" << simd;
-      }
+    // Narrow bands run the row sweep, wide ones the wavefront; 0 and
+    // >= n-1 sweep the full matrix and must match plain dtw().
+    for (const std::size_t band :
+         {0ul, 1ul, 2ul, 3ul, 5ul, 8ul, 32ul, kLen - 1, kLen + 10}) {
+      const ts::BandedDistance got =
+          ts::banded_dtw_distance(a, b, band, cost, kInf, workspace);
+      const ts::DtwResult ref = (band == 0 || band >= kLen - 1)
+                                    ? ts::dtw(a, b, cost)
+                                    : ts::dtw_banded(a, b, band, cost);
+      EXPECT_FALSE(got.abandoned);
+      EXPECT_EQ(got.distance, ref.distance) << "band=" << band;
+      EXPECT_EQ(got.path_cells, ref.path.size()) << "band=" << band;
     }
   }
 }
@@ -197,14 +197,14 @@ TEST(LowerBound, EarlyAbandonIsSound) {
         ts::z_score_enhanced(ar_series(kLen, 200 + trial));
     for (const std::size_t band : {2ul, 8ul, 0ul}) {
       const ts::BandedDistance full = ts::banded_dtw_distance(
-          a, b, band, ts::LocalCost::kSquared, kInf, true, workspace);
+          a, b, band, ts::LocalCost::kSquared, kInf, workspace);
       ASSERT_FALSE(full.abandoned);
       // A ceiling below the true distance: either the sweep abandons
       // (proving distance > ceiling, which is true) or it completes with
       // the exact answer.
       const double low = full.distance * rng.uniform(0.1, 0.9);
       const ts::BandedDistance probe = ts::banded_dtw_distance(
-          a, b, band, ts::LocalCost::kSquared, low, true, workspace);
+          a, b, band, ts::LocalCost::kSquared, low, workspace);
       if (!probe.abandoned) {
         EXPECT_EQ(probe.distance, full.distance);
         EXPECT_EQ(probe.path_cells, full.path_cells);
@@ -215,8 +215,7 @@ TEST(LowerBound, EarlyAbandonIsSound) {
       // pair of consecutive anti-diagonals contains an optimal-path
       // prefix cell, whose cost is at most the final distance.
       const ts::BandedDistance high = ts::banded_dtw_distance(
-          a, b, band, ts::LocalCost::kSquared, full.distance, true,
-          workspace);
+          a, b, band, ts::LocalCost::kSquared, full.distance, workspace);
       EXPECT_FALSE(high.abandoned);
       EXPECT_EQ(high.distance, full.distance);
       EXPECT_EQ(high.path_cells, full.path_cells);
@@ -246,47 +245,31 @@ std::vector<core::NamedSeries> sybil_bundle(std::size_t identities,
   return series;
 }
 
-void expect_verdicts_identical(const std::vector<core::PairDistance>& pruned,
-                               const std::vector<core::PairDistance>& exact) {
-  ASSERT_EQ(pruned.size(), exact.size());
-  for (std::size_t i = 0; i < exact.size(); ++i) {
-    EXPECT_EQ(pruned[i].a, exact[i].a);
-    EXPECT_EQ(pruned[i].b, exact[i].b);
-    EXPECT_EQ(pruned[i].comparable, exact[i].comparable) << "pair " << i;
-    EXPECT_EQ(pruned[i].flagged, exact[i].flagged) << "pair " << i;
-  }
-}
+using testing_oracle::expect_detector_matches_oracle;
+using testing_oracle::expect_verdicts_identical;
+using testing_oracle::oracle_detect;
 
 class CascadeParity : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(CascadeParity, PrunedVerdictsMatchExactSweep) {
   const std::size_t threads = GetParam();
-  core::ComparisonOptions options;
-  options.distance = core::DistanceKind::kExactDtw;
-  options.threads = threads;
-  for (const bool simd : {true, false}) {
+  for (const core::DistanceKind distance :
+       {core::DistanceKind::kExactDtw, core::DistanceKind::kFastDtw}) {
+    core::VoiceprintOptions options;
+    options.comparison.distance = distance;
+    options.comparison.threads = threads;
+    core::VoiceprintDetector detector(options);
     for (const std::uint64_t seed : {31ull, 32ull, 33ull}) {
       const std::vector<core::NamedSeries> series =
           sybil_bundle(24, 120, seed);
-      const double threshold = 0.00054 * 50.0 + 0.0483;
-      options.use_simd = simd;
-
-      options.exact_mode = true;
-      std::vector<core::PairDistance> exact =
-          core::compare_series(series, options);
-      for (core::PairDistance& p : exact) {
-        if (p.comparable) p.flagged = p.normalized <= threshold;
-      }
-
-      options.exact_mode = false;
-      core::CascadeStats stats;
-      const std::vector<core::PairDistance> pruned =
-          core::compare_series_pruned(series, options, threshold, &stats);
-
-      expect_verdicts_identical(pruned, exact);
+      expect_detector_matches_oracle(detector, series, 50.0);
       // Conservation law: every comparable pair exits at exactly one tier.
+      core::CascadeStats stats;
+      const std::vector<core::PairDistance> pairs =
+          core::compare_series_pruned(series, options.comparison,
+                                      detector.last_threshold(), &stats);
       std::size_t comparable = 0;
-      for (const core::PairDistance& p : exact) comparable += p.comparable;
+      for (const core::PairDistance& p : pairs) comparable += p.comparable;
       EXPECT_EQ(stats.lb_kim_pruned + stats.lb_keogh_pruned +
                     stats.early_abandoned + stats.full_sweeps,
                 comparable);
@@ -301,7 +284,6 @@ TEST(CascadeParity, StatsDeterministicAcrossThreadCounts) {
   const std::vector<core::NamedSeries> series = sybil_bundle(20, 150, 77);
   core::ComparisonOptions options;
   options.distance = core::DistanceKind::kExactDtw;
-  options.exact_mode = false;
   const double threshold = 0.00054 * 50.0 + 0.0483;
   std::vector<core::CascadeStats> all;
   for (const std::size_t threads : {1ul, 2ul, 4ul, 0ul}) {
@@ -327,28 +309,28 @@ TEST_P(CascadeParity, HighwaySimWindowsMatchExactDetector) {
   sim::World world(config);
   world.run();
 
-  core::VoiceprintOptions exact_options =
-      core::tuned_simulation_options(threads);
-  core::VoiceprintOptions pruned_options = exact_options;
-  pruned_options.comparison.exact_mode = false;
-  core::VoiceprintDetector exact(exact_options);
-  core::VoiceprintDetector pruned(pruned_options);
-
+  core::VoiceprintDetector detector(core::tuned_simulation_options(threads));
   std::size_t windows = 0;
   const std::vector<NodeId> normals = world.normal_node_ids();
   for (NodeId observer : {normals.front(), normals.back()}) {
     for (const double t : world.detection_times()) {
       const sim::ObservationWindow window = world.observe(observer, t);
       if (window.neighbors.size() < 2) continue;
-      EXPECT_EQ(pruned.detect_window(window), exact.detect_window(window));
-      expect_verdicts_identical(pruned.last_all_pairs(),
-                                exact.last_all_pairs());
+      std::vector<core::NamedSeries> series;
+      for (const sim::NeighborObservation& n : window.neighbors) {
+        series.emplace_back(n.id, n.rssi);
+      }
+      expect_detector_matches_oracle(detector, series,
+                                     window.estimated_density_per_km);
       ++windows;
     }
   }
   EXPECT_GE(windows, 3u);
 }
 
+// The replay's per-pair verdicts come from the detector; every one must
+// match the oracle on the same window, and the replay's printed distances
+// must be the oracle's exact distances.
 TEST_P(CascadeParity, FieldTestReplayMatchesExactReplay) {
   const std::size_t threads = GetParam();
   ft::FieldTestConfig config;
@@ -356,28 +338,32 @@ TEST_P(CascadeParity, FieldTestReplayMatchesExactReplay) {
   config.duration_s = 240.0;
   const ft::FieldTestData data = ft::run_field_test(config);
 
-  ft::ReplayOptions exact_options;
-  exact_options.comparison.threads = threads;
-  ft::ReplayOptions pruned_options = exact_options;
-  pruned_options.comparison.exact_mode = false;
+  ft::ReplayOptions options;
+  options.comparison.threads = threads;
+  const ft::FieldReplayResult replay = ft::replay_field_test(data, options);
 
-  const ft::FieldReplayResult exact = ft::replay_field_test(data,
-                                                            exact_options);
-  const ft::FieldReplayResult pruned =
-      ft::replay_field_test(data, pruned_options);
-
-  EXPECT_EQ(pruned.detection_rate, exact.detection_rate);
-  EXPECT_EQ(pruned.false_positive_rate, exact.false_positive_rate);
-  ASSERT_EQ(pruned.detections.size(), exact.detections.size());
-  for (std::size_t d = 0; d < exact.detections.size(); ++d) {
-    const ft::FieldDetection& pd = pruned.detections[d];
-    const ft::FieldDetection& ed = exact.detections[d];
-    EXPECT_EQ(pd.flagged, ed.flagged);
-    ASSERT_EQ(pd.pairs.size(), ed.pairs.size());
-    for (std::size_t i = 0; i < ed.pairs.size(); ++i) {
-      EXPECT_EQ(pd.pairs[i].a, ed.pairs[i].a);
-      EXPECT_EQ(pd.pairs[i].b, ed.pairs[i].b);
-      EXPECT_EQ(pd.pairs[i].flagged, ed.pairs[i].flagged);
+  core::VoiceprintOptions detector_options;
+  detector_options.comparison = options.comparison;
+  detector_options.boundary =
+      core::constant_boundary(data.config.constant_threshold);
+  const sim::RssiLog& log = data.logs.at(ft::kNormalNode3);
+  ASSERT_FALSE(replay.detections.empty());
+  for (const ft::FieldDetection& d : replay.detections) {
+    const double t0 = d.time_s - data.config.observation_time_s;
+    std::vector<core::NamedSeries> series;
+    for (IdentityId id : log.identities_heard(t0, d.time_s,
+                                              options.min_samples)) {
+      series.emplace_back(id, log.rssi_series(id, t0, d.time_s));
+    }
+    const testing_oracle::OracleVerdict oracle =
+        oracle_detect(series, detector_options, 4.0);
+    EXPECT_EQ(d.flagged, oracle.suspects);
+    ASSERT_EQ(d.pairs.size(), oracle.pairs.size());
+    for (std::size_t i = 0; i < oracle.pairs.size(); ++i) {
+      EXPECT_EQ(d.pairs[i].a, oracle.pairs[i].a);
+      EXPECT_EQ(d.pairs[i].b, oracle.pairs[i].b);
+      EXPECT_EQ(d.pairs[i].flagged, oracle.pairs[i].flagged);
+      EXPECT_EQ(d.pairs[i].distance, oracle.pairs[i].normalized);
     }
   }
 }

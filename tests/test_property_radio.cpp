@@ -5,6 +5,7 @@
 
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include "common/rng.h"
@@ -23,6 +24,10 @@ struct ModelCase {
   std::string name;
   std::function<std::unique_ptr<PropagationModel>()> make;
 };
+
+// gtest would otherwise print the raw object bytes (heap pointers included)
+// into every test name, so the names would change from run to run.
+void PrintTo(const ModelCase& c, std::ostream* os) { *os << c.name; }
 
 class RadioProperty : public ::testing::TestWithParam<ModelCase> {
  protected:

@@ -1,20 +1,23 @@
-// End-to-end regressions for the pruned comparison path (DESIGN.md §11):
-// routing detection through the lower-bound cascade (exact_mode = false,
-// SIMD on) must leave every externally visible verdict — suspects and the
-// (a, b, comparable, flagged) pair set — bit-identical to the exact sweep
-// through the full serving stack: StreamEngine rounds, DetectionService
-// fleet rounds, and checkpoint kill/restore in pruned mode.
+// End-to-end oracle parity for the detector's comparison path (DESIGN.md
+// §11): every confirmation round the serving stack runs through the
+// lower-bound cascade — a standalone StreamEngine, and a sharded
+// DetectionService fleet — must return exactly the suspects and the (a, b,
+// comparable, flagged) pair set that the reference sweep (compare_series,
+// tests/detector_oracle.h) gives on the same round input. Checkpoint
+// restore is bit-identical to the uninterrupted engine and service by
+// test_checkpoint, so the check carries over to it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/detector.h"
-#include "service/checkpoint.h"
+#include "detector_oracle.h"
 #include "service/service.h"
 #include "sim/world.h"
-#include "stream/checkpoint.h"
 #include "stream/engine.h"
 
 namespace vp {
@@ -39,48 +42,6 @@ std::vector<Rx> arrival_stream(const sim::RssiLog& log, double horizon) {
   return beacons;
 }
 
-// Verdict equality: suspects and the flagged/comparable pair set. The
-// pruned path never computes distances it can classify from bounds, so
-// raw/normalized are compared only where the ISSUE requires — verdicts.
-void expect_verdicts_identical(const std::vector<core::PairDistance>& pruned,
-                               const std::vector<core::PairDistance>& exact) {
-  ASSERT_EQ(pruned.size(), exact.size());
-  for (std::size_t i = 0; i < exact.size(); ++i) {
-    EXPECT_EQ(pruned[i].a, exact[i].a);
-    EXPECT_EQ(pruned[i].b, exact[i].b);
-    EXPECT_EQ(pruned[i].comparable, exact[i].comparable) << "pair " << i;
-    EXPECT_EQ(pruned[i].flagged, exact[i].flagged) << "pair " << i;
-  }
-}
-
-stream::StreamEngineConfig engine_config_for(
-    const sim::ScenarioConfig& sim_config, std::size_t threads, bool exact) {
-  stream::StreamEngineConfig config;
-  config.observation_time_s = sim_config.observation_time_s;
-  config.round_period_s = sim_config.detection_period_s;
-  config.density_estimation_period_s =
-      sim_config.density_estimation_period_s;
-  config.max_transmission_range_m = sim_config.max_transmission_range_m;
-  config.min_samples = 4;
-  config.detector = core::tuned_simulation_options(threads);
-  config.detector.comparison.exact_mode = exact;
-  config.detector.comparison.use_simd = true;
-  return config;
-}
-
-sim::World& shared_world() {
-  static sim::World* world = [] {
-    sim::ScenarioConfig config;
-    config.density_per_km = 15.0;
-    config.sim_time_s = 60.0;
-    config.seed = 29;
-    auto* w = new sim::World(config);
-    w->run();
-    return w;
-  }();
-  return *world;
-}
-
 sim::ScenarioConfig shared_config() {
   sim::ScenarioConfig config;
   config.density_per_km = 15.0;
@@ -89,183 +50,84 @@ sim::ScenarioConfig shared_config() {
   return config;
 }
 
-std::vector<stream::StreamRound> run_engine(
-    const stream::StreamEngineConfig& config, const std::vector<Rx>& trace,
-    double end_time) {
-  std::vector<stream::StreamRound> rounds;
-  stream::StreamEngine engine(config);
-  engine.set_round_callback(
-      [&rounds](const stream::StreamRound& r) { rounds.push_back(r); });
+sim::World& shared_world() {
+  static sim::World* world = [] {
+    auto* w = new sim::World(shared_config());
+    w->run();
+    return w;
+  }();
+  return *world;
+}
+
+stream::StreamEngineConfig engine_config(std::size_t threads) {
+  const sim::ScenarioConfig sim_config = shared_config();
+  stream::StreamEngineConfig config;
+  config.observation_time_s = sim_config.observation_time_s;
+  config.round_period_s = sim_config.detection_period_s;
+  config.density_estimation_period_s = sim_config.density_estimation_period_s;
+  config.max_transmission_range_m = sim_config.max_transmission_range_m;
+  config.min_samples = 4;
+  config.detector = core::tuned_simulation_options(threads);
+  return config;
+}
+
+std::vector<Rx> observer_trace(NodeId observer) {
+  return arrival_stream(shared_world().node(observer).log(),
+                        shared_config().sim_time_s + 1.0);
+}
+
+// Feeds `trace` to an engine that defers every round, so each round's
+// input can be handed to the oracle as well.
+std::vector<stream::RoundInput> round_inputs(
+    stream::StreamEngine& engine, const std::vector<Rx>& trace) {
+  std::vector<stream::RoundInput> inputs;
+  engine.set_round_deferral([&inputs](stream::RoundInput&& input) {
+    inputs.push_back(std::move(input));
+  });
   for (const Rx& rx : trace) engine.ingest(rx.id, rx.time_s, rx.rssi_dbm);
-  engine.advance_to(end_time);
-  return rounds;
+  engine.advance_to(shared_world().detection_times().back());
+  return inputs;
+}
+
+void expect_round_matches_oracle(const stream::StreamRound& round,
+                                 const stream::RoundInput& input,
+                                 const core::VoiceprintOptions& options) {
+  SCOPED_TRACE("round at t=" + std::to_string(input.time_s));
+  const testing_oracle::OracleVerdict oracle =
+      testing_oracle::oracle_detect(input.series, options,
+                                    input.density_per_km);
+  EXPECT_EQ(round.time_s, input.time_s);
+  EXPECT_EQ(round.suspects, oracle.suspects);
+  testing_oracle::expect_verdicts_identical(round.pairs, oracle.pairs);
 }
 
 class PrunedParity : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(PrunedParity, StreamEngineRoundsMatchExactMode) {
-  const std::size_t threads = GetParam();
-  const sim::ScenarioConfig sim_config = shared_config();
-  sim::World& world = shared_world();
-  const double end_time = world.detection_times().back();
-  const NodeId observer = world.normal_node_ids().front();
-  const std::vector<Rx> trace =
-      arrival_stream(world.node(observer).log(), sim_config.sim_time_s + 1.0);
-
-  const std::vector<stream::StreamRound> exact =
-      run_engine(engine_config_for(sim_config, threads, true), trace,
-                 end_time);
-  const std::vector<stream::StreamRound> pruned =
-      run_engine(engine_config_for(sim_config, threads, false), trace,
-                 end_time);
-
-  ASSERT_EQ(pruned.size(), exact.size());
-  ASSERT_GE(exact.size(), 3u);
-  for (std::size_t r = 0; r < exact.size(); ++r) {
-    EXPECT_EQ(pruned[r].time_s, exact[r].time_s);
-    EXPECT_EQ(pruned[r].density_per_km, exact[r].density_per_km);
-    EXPECT_EQ(pruned[r].suspects, exact[r].suspects) << "round " << r;
-    expect_verdicts_identical(pruned[r].pairs, exact[r].pairs);
+  const stream::StreamEngineConfig config = engine_config(GetParam());
+  stream::StreamEngine engine(config);
+  const std::vector<stream::RoundInput> inputs = round_inputs(
+      engine, observer_trace(shared_world().normal_node_ids().front()));
+  ASSERT_GE(inputs.size(), 3u);
+  for (const stream::RoundInput& input : inputs) {
+    expect_round_matches_oracle(engine.run_prepared_round(input), input,
+                                config.detector);
   }
 }
 
-// Kill/restore mid-stream in pruned mode: the checkpoint round-trips
-// through the wire format and the restored engine's remaining rounds are
-// bit-identical to the uninterrupted pruned run (and verdict-identical to
-// exact mode, by the test above).
-TEST_P(PrunedParity, CheckpointKillRestoreInPrunedMode) {
-  const std::size_t threads = GetParam();
-  const sim::ScenarioConfig sim_config = shared_config();
-  sim::World& world = shared_world();
-  const double end_time = world.detection_times().back();
-  const NodeId observer = world.normal_node_ids().front();
-  const std::vector<Rx> trace =
-      arrival_stream(world.node(observer).log(), sim_config.sim_time_s + 1.0);
-  const stream::StreamEngineConfig config =
-      engine_config_for(sim_config, threads, false);
-
-  const std::vector<stream::StreamRound> uninterrupted =
-      run_engine(config, trace, end_time);
-  ASSERT_GE(uninterrupted.size(), 3u);
-
-  for (const std::size_t cut :
-       {trace.size() / 3, trace.size() / 2, 2 * trace.size() / 3}) {
-    std::vector<stream::StreamRound> rounds;
-    const auto record = [&rounds](const stream::StreamRound& r) {
-      rounds.push_back(r);
-    };
-    stream::StreamEngine first(config);
-    first.set_round_callback(record);
-    for (std::size_t i = 0; i < cut; ++i) {
-      first.ingest(trace[i].id, trace[i].time_s, trace[i].rssi_dbm);
-    }
-    const std::vector<std::uint8_t> bytes =
-        stream::encode_checkpoint(first.checkpoint());
-    stream::EngineCheckpoint restored;
-    std::string error;
-    ASSERT_TRUE(stream::decode_checkpoint(bytes, &restored, &error)) << error;
-    stream::StreamEngine second(config, restored);
-    second.set_round_callback(record);
-    for (std::size_t i = cut; i < trace.size(); ++i) {
-      second.ingest(trace[i].id, trace[i].time_s, trace[i].rssi_dbm);
-    }
-    second.advance_to(end_time);
-
-    ASSERT_EQ(rounds.size(), uninterrupted.size()) << "cut=" << cut;
-    for (std::size_t r = 0; r < rounds.size(); ++r) {
-      EXPECT_EQ(rounds[r].time_s, uninterrupted[r].time_s);
-      EXPECT_EQ(rounds[r].suspects, uninterrupted[r].suspects);
-      ASSERT_EQ(rounds[r].pairs.size(), uninterrupted[r].pairs.size());
-      for (std::size_t i = 0; i < rounds[r].pairs.size(); ++i) {
-        // Same mode both sides, so full bitwise parity is required here.
-        EXPECT_EQ(rounds[r].pairs[i].raw, uninterrupted[r].pairs[i].raw);
-        EXPECT_EQ(rounds[r].pairs[i].normalized,
-                  uninterrupted[r].pairs[i].normalized);
-        EXPECT_EQ(rounds[r].pairs[i].flagged,
-                  uninterrupted[r].pairs[i].flagged);
-      }
-    }
-  }
-}
-
+// The sharded service runs its sessions' rounds on pool workers at the
+// given width; every delivered round must match the oracle on the input a
+// standalone engine cuts from the same session's beacons.
 TEST_P(PrunedParity, DetectionServiceFleetMatchesExactMode) {
-  const std::size_t threads = GetParam();
-  const sim::ScenarioConfig sim_config = shared_config();
-  sim::World& world = shared_world();
-  const double end_time = world.detection_times().back();
-  std::vector<NodeId> observers = world.normal_node_ids();
+  std::vector<NodeId> observers = shared_world().normal_node_ids();
   observers.resize(std::min<std::size_t>(observers.size(), 4));
-
   struct FleetRx {
     service::SessionId session;
     Rx rx;
   };
   std::vector<FleetRx> fleet;
   for (NodeId observer : observers) {
-    for (const Rx& rx : arrival_stream(world.node(observer).log(),
-                                       sim_config.sim_time_s + 1.0)) {
-      fleet.push_back({static_cast<service::SessionId>(observer), rx});
-    }
-  }
-  std::sort(fleet.begin(), fleet.end(), [](const FleetRx& a, const FleetRx& b) {
-    if (a.rx.time_s != b.rx.time_s) return a.rx.time_s < b.rx.time_s;
-    if (a.session != b.session) return a.session < b.session;
-    return a.rx.id < b.rx.id;
-  });
-
-  const auto run_service = [&](bool exact) {
-    service::ServiceConfig config;
-    config.shards = 4;
-    config.threads = threads;
-    config.engine = engine_config_for(sim_config, 1, exact);
-    std::map<service::SessionId, std::vector<stream::StreamRound>> rounds;
-    service::DetectionService service(config);
-    service.set_round_callback([&rounds](const service::SessionRound& r) {
-      rounds[r.session].push_back(r.round);
-    });
-    for (const FleetRx& frx : fleet) {
-      EXPECT_EQ(service.ingest(frx.session, frx.rx.id, frx.rx.time_s,
-                               frx.rx.rssi_dbm),
-                service::DetectionService::Admission::kAccepted);
-    }
-    service.advance_all_to(end_time);
-    return rounds;
-  };
-
-  const auto exact = run_service(true);
-  const auto pruned = run_service(false);
-  ASSERT_EQ(pruned.size(), exact.size());
-  for (const auto& [session, exact_rounds] : exact) {
-    ASSERT_TRUE(pruned.count(session));
-    const std::vector<stream::StreamRound>& pruned_rounds =
-        pruned.at(session);
-    ASSERT_EQ(pruned_rounds.size(), exact_rounds.size());
-    for (std::size_t r = 0; r < exact_rounds.size(); ++r) {
-      EXPECT_EQ(pruned_rounds[r].suspects, exact_rounds[r].suspects);
-      expect_verdicts_identical(pruned_rounds[r].pairs,
-                                exact_rounds[r].pairs);
-    }
-  }
-}
-
-// Service-level kill/restore with pruned engines: checkpoint the whole
-// fleet mid-run, restore, and finish — delivered rounds must equal the
-// uninterrupted pruned service's bit for bit.
-TEST(PrunedParity, ServiceCheckpointKillRestoreInPrunedMode) {
-  const sim::ScenarioConfig sim_config = shared_config();
-  sim::World& world = shared_world();
-  const double end_time = world.detection_times().back();
-  std::vector<NodeId> observers = world.normal_node_ids();
-  observers.resize(std::min<std::size_t>(observers.size(), 3));
-
-  struct FleetRx {
-    service::SessionId session;
-    Rx rx;
-  };
-  std::vector<FleetRx> fleet;
-  for (NodeId observer : observers) {
-    for (const Rx& rx : arrival_stream(world.node(observer).log(),
-                                       sim_config.sim_time_s + 1.0)) {
+    for (const Rx& rx : observer_trace(observer)) {
       fleet.push_back({static_cast<service::SessionId>(observer), rx});
     }
   }
@@ -276,67 +138,35 @@ TEST(PrunedParity, ServiceCheckpointKillRestoreInPrunedMode) {
   });
 
   service::ServiceConfig config;
-  config.shards = 2;
-  config.threads = 1;
-  config.engine = engine_config_for(sim_config, 1, false);
-
-  using Rounds = std::map<service::SessionId, std::vector<stream::StreamRound>>;
-  const auto collect = [](Rounds& rounds) {
-    return [&rounds](const service::SessionRound& r) {
-      rounds[r.session].push_back(r.round);
-    };
-  };
-
-  Rounds uninterrupted;
+  config.shards = 4;
+  config.threads = GetParam();
+  config.engine = engine_config(1);
+  std::map<service::SessionId, std::vector<stream::StreamRound>> rounds;
   {
     service::DetectionService service(config);
-    service.set_round_callback(collect(uninterrupted));
+    service.set_round_callback([&rounds](const service::SessionRound& r) {
+      rounds[r.session].push_back(r.round);
+    });
     for (const FleetRx& frx : fleet) {
-      service.ingest(frx.session, frx.rx.id, frx.rx.time_s, frx.rx.rssi_dbm);
+      EXPECT_EQ(service.ingest(frx.session, frx.rx.id, frx.rx.time_s,
+                               frx.rx.rssi_dbm),
+                service::DetectionService::Admission::kAccepted);
     }
-    service.advance_all_to(end_time);
+    service.advance_all_to(shared_world().detection_times().back());
   }
 
-  Rounds killed;
-  const std::size_t cut = fleet.size() / 2;
-  {
-    service::DetectionService first(config);
-    first.set_round_callback(collect(killed));
-    for (std::size_t i = 0; i < cut; ++i) {
-      first.ingest(fleet[i].session, fleet[i].rx.id, fleet[i].rx.time_s,
-                   fleet[i].rx.rssi_dbm);
-    }
-    first.pump();  // drain the queue; checkpoint() requires it empty
-    const std::vector<std::uint8_t> bytes =
-        service::encode_checkpoint(first.checkpoint());
-    service::ServiceCheckpoint restored;
-    std::string error;
-    ASSERT_TRUE(service::decode_checkpoint(bytes, &restored, &error))
-        << error;
-    service::DetectionService second(config, restored);
-    second.set_round_callback(collect(killed));
-    for (std::size_t i = cut; i < fleet.size(); ++i) {
-      second.ingest(fleet[i].session, fleet[i].rx.id, fleet[i].rx.time_s,
-                    fleet[i].rx.rssi_dbm);
-    }
-    second.advance_all_to(end_time);
-  }
-
-  ASSERT_EQ(killed.size(), uninterrupted.size());
-  for (const auto& [session, expected] : uninterrupted) {
-    ASSERT_TRUE(killed.count(session));
-    const std::vector<stream::StreamRound>& got = killed.at(session);
-    ASSERT_EQ(got.size(), expected.size());
-    for (std::size_t r = 0; r < expected.size(); ++r) {
-      EXPECT_EQ(got[r].time_s, expected[r].time_s);
-      EXPECT_EQ(got[r].suspects, expected[r].suspects);
-      ASSERT_EQ(got[r].pairs.size(), expected[r].pairs.size());
-      for (std::size_t i = 0; i < expected[r].pairs.size(); ++i) {
-        EXPECT_EQ(got[r].pairs[i].raw, expected[r].pairs[i].raw);
-        EXPECT_EQ(got[r].pairs[i].normalized,
-                  expected[r].pairs[i].normalized);
-        EXPECT_EQ(got[r].pairs[i].flagged, expected[r].pairs[i].flagged);
-      }
+  ASSERT_EQ(rounds.size(), observers.size());
+  for (NodeId observer : observers) {
+    SCOPED_TRACE("session=" + std::to_string(observer));
+    stream::StreamEngine engine(config.engine);
+    const std::vector<stream::RoundInput> inputs =
+        round_inputs(engine, observer_trace(observer));
+    const std::vector<stream::StreamRound>& delivered =
+        rounds[static_cast<service::SessionId>(observer)];
+    ASSERT_EQ(delivered.size(), inputs.size());
+    for (std::size_t r = 0; r < inputs.size(); ++r) {
+      expect_round_matches_oracle(delivered[r], inputs[r],
+                                  config.engine.detector);
     }
   }
 }

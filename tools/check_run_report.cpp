@@ -3,7 +3,6 @@
 //   check_run_report [report.json] [--trace <trace.jsonl>]
 //                    [--require <counter>]... [--stream-bench <bench.json>]
 //                    [--service-bench <bench.json>] [--chaos-bench <bench.json>]
-//                    [--comparison-bench <bench.json>]
 //                    [--fusion-bench <bench.json>] [--wire-bench <bench.json>]
 //                    [--telemetry <telemetry.jsonl>]
 //
@@ -24,12 +23,7 @@
 // conservation laws); with --chaos-bench, fault::validate_chaos_bench
 // (voiceprint.chaos_bench/v1, including the injector and serving-stack
 // conservation laws and the per-run divergence ceilings); with
-// --comparison-bench, core::validate_comparison_bench
-// (voiceprint.comparison_bench/v1, including the cascade exit-tier
-// conservation law pairs_comparable = lb_kim_pruned + lb_keogh_pruned +
-// fixed_pruned + early_abandoned + full_sweeps, and that the
-// exact-vs-pruned verdict
-// cross-check passed); with --fusion-bench, fusion::validate_fusion_bench
+// --fusion-bench, fusion::validate_fusion_bench
 // (voiceprint.fusion_bench/v1, including the round conservation law
 // rounds_delivered = fused + expired + pending, trust bounds in [0, 1],
 // and fused DR >= single DR / fused FPR <= single FPR on every
@@ -50,7 +44,6 @@
 #include <string>
 #include <vector>
 
-#include "core/report.h"
 #include "fault/report.h"
 #include "fusion/report.h"
 #include "obs/json.h"
@@ -178,30 +171,6 @@ int check_chaos_bench(const std::string& path) {
   }
   std::cout << "ok: " << path << " ("
             << bench.find("runs")->as_array().size() << " chaos runs)\n";
-  return 0;
-}
-
-int check_comparison_bench(const std::string& path) {
-  std::string text;
-  if (!read_file(path, text)) {
-    std::cerr << "check_run_report: cannot read " << path << "\n";
-    return 1;
-  }
-  vp::obs::json::Value bench;
-  try {
-    bench = vp::obs::json::parse(text);
-  } catch (const std::exception& e) {
-    std::cerr << "check_run_report: " << path << ": " << e.what() << "\n";
-    return 1;
-  }
-  std::string error;
-  if (!vp::core::validate_comparison_bench(bench, &error)) {
-    std::cerr << "check_run_report: " << path << ": " << error << "\n";
-    return 1;
-  }
-  std::cout << "ok: " << path << " ("
-            << bench.find("configs")->as_array().size()
-            << " comparison bench configs)\n";
   return 0;
 }
 
@@ -334,7 +303,7 @@ int main(int argc, char** argv) {
       "usage: check_run_report [report.json] [--trace <trace.jsonl>] "
       "[--require <counter>]... [--stream-bench <bench.json>] "
       "[--service-bench <bench.json>] [--chaos-bench <bench.json>] "
-      "[--comparison-bench <bench.json>] [--fusion-bench <bench.json>] "
+      "[--fusion-bench <bench.json>] "
       "[--wire-bench <bench.json>] [--telemetry <telemetry.jsonl>]\n"
       "       (report.json may be omitted when only bench/telemetry "
       "artefacts are checked)\n";
@@ -343,7 +312,6 @@ int main(int argc, char** argv) {
   std::string stream_bench_path;
   std::string service_bench_path;
   std::string chaos_bench_path;
-  std::string comparison_bench_path;
   std::string fusion_bench_path;
   std::string wire_bench_path;
   std::string telemetry_path;
@@ -360,8 +328,6 @@ int main(int argc, char** argv) {
       service_bench_path = argv[++i];
     } else if (arg == "--chaos-bench" && i + 1 < argc) {
       chaos_bench_path = argv[++i];
-    } else if (arg == "--comparison-bench" && i + 1 < argc) {
-      comparison_bench_path = argv[++i];
     } else if (arg == "--fusion-bench" && i + 1 < argc) {
       fusion_bench_path = argv[++i];
     } else if (arg == "--wire-bench" && i + 1 < argc) {
@@ -378,7 +344,6 @@ int main(int argc, char** argv) {
   const bool has_bench = !stream_bench_path.empty() ||
                          !service_bench_path.empty() ||
                          !chaos_bench_path.empty() ||
-                         !comparison_bench_path.empty() ||
                          !fusion_bench_path.empty() ||
                          !wire_bench_path.empty() ||
                          !telemetry_path.empty();
@@ -397,9 +362,6 @@ int main(int argc, char** argv) {
     status |= check_service_bench(service_bench_path);
   }
   if (!chaos_bench_path.empty()) status |= check_chaos_bench(chaos_bench_path);
-  if (!comparison_bench_path.empty()) {
-    status |= check_comparison_bench(comparison_bench_path);
-  }
   if (!fusion_bench_path.empty()) status |= check_fusion_bench(fusion_bench_path);
   if (!wire_bench_path.empty()) status |= check_wire_bench(wire_bench_path);
   if (!telemetry_path.empty()) status |= check_telemetry(telemetry_path);

@@ -57,8 +57,7 @@ int main(int argc, char** argv) {
   config.max_sessions = 4096;
   config.pump_batch_rounds = shards * 2;
   config.engine.condition_ingest = run_flags.cond;
-  config.engine.detector =
-      core::with_run_flags(core::tuned_simulation_options(1), run_flags);
+  config.engine.detector = core::tuned_simulation_options(1);
   config.engine.ring_capacity = 4096;
   config.engine.max_identities = 256;
 
