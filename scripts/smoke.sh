@@ -22,28 +22,22 @@ quickstart="$build_dir/examples/quickstart"
 highway="$build_dir/examples/highway_sybil_sim"
 streaming="$build_dir/examples/streaming_detection"
 fleet="$build_dir/examples/fleet_detection"
-stream_bench="$build_dir/bench/stream_throughput"
-service_bench="$build_dir/bench/service_throughput"
 chaos_bench="$build_dir/bench/chaos_detection"
 fusion_bench="$build_dir/bench/fusion_quality"
-wire_bench="$build_dir/bench/wire_throughput"
 ingest_server="$build_dir/tools/vp_ingest_server"
 ingest_client="$build_dir/tools/vp_ingest_client"
 checker="$build_dir/tools/check_run_report"
 top="$build_dir/tools/vp_top"
 
 if [[ ! -x "$quickstart" || ! -x "$highway" || ! -x "$streaming" \
-      || ! -x "$fleet" || ! -x "$stream_bench" || ! -x "$service_bench" \
-      || ! -x "$chaos_bench" || ! -x "$fusion_bench" || ! -x "$wire_bench" \
+      || ! -x "$fleet" || ! -x "$chaos_bench" || ! -x "$fusion_bench" \
       || ! -x "$ingest_server" || ! -x "$ingest_client" \
       || ! -x "$checker" || ! -x "$top" ]]; then
   echo "smoke: binaries missing, building in $build_dir"
   cmake -B "$build_dir" -S "$repo_root"
   cmake --build "$build_dir" -j --target quickstart highway_sybil_sim \
-    streaming_detection fleet_detection stream_throughput \
-    service_throughput chaos_detection fusion_quality \
-    wire_throughput vp_ingest_server vp_ingest_client \
-    check_run_report vp_top
+    streaming_detection fleet_detection chaos_detection fusion_quality \
+    vp_ingest_server vp_ingest_client check_run_report vp_top
 fi
 
 if [[ -n "${SMOKE_ARTIFACT_DIR:-}" ]]; then
@@ -93,14 +87,9 @@ grep -q "streaming parity: OK" "$tmp/streaming.out" || {
   exit 1
 }
 
-echo "smoke: stream_throughput --quick"
-"$stream_bench" --quick --duration 25 --out "$tmp/BENCH_stream.json" \
-  > "$tmp/stream_bench.out"
-
-echo "smoke: validating streaming report + bench artefact + telemetry"
+echo "smoke: validating streaming report + telemetry"
 "$checker" "$tmp/stream_report.json" --trace "$tmp/stream_trace.jsonl" \
   --require stream.beacons_ingested --require stream.rounds \
-  --stream-bench "$tmp/BENCH_stream.json" \
   --telemetry "$tmp/stream_telemetry.jsonl"
 
 echo "smoke: vp_top --once over the streaming telemetry"
@@ -127,15 +116,10 @@ grep -q "fusion parity: OK" "$tmp/fleet.out" || {
   exit 1
 }
 
-echo "smoke: service_throughput --quick"
-"$service_bench" --quick --duration 25 --out "$tmp/BENCH_service.json" \
-  > "$tmp/service_bench.out"
-
-echo "smoke: validating fleet report + service bench artefact + telemetry"
+echo "smoke: validating fleet report + telemetry"
 "$checker" "$tmp/fleet_report.json" --trace "$tmp/fleet_trace.jsonl" \
   --require service.beacons_ingested --require service.rounds_executed \
   --require fusion.rounds_delivered --require fusion.epochs_closed \
-  --service-bench "$tmp/BENCH_service.json" \
   --telemetry "$tmp/fleet_telemetry.jsonl"
 
 echo "smoke: fusion_quality --quick (corroboration accuracy sweep)"
@@ -227,11 +211,5 @@ grep -q "0 health alerts" "$tmp/wire_server.out" || {
 
 echo "smoke: validating wire telemetry stream"
 "$checker" --telemetry "$tmp/wire_telemetry.jsonl"
-
-echo "smoke: wire_throughput --quick"
-"$wire_bench" --quick --out "$tmp/BENCH_wire.json" > "$tmp/wire_bench.out"
-
-echo "smoke: validating wire bench artefact"
-"$checker" --wire-bench "$tmp/BENCH_wire.json"
 
 echo "smoke: OK"

@@ -32,8 +32,8 @@
 //       beacons_offered = beacons_ingested + Σ beacons_shed_*
 //       rounds_prepared = rounds_executed + Σ rounds_shed_* + queued
 //       sessions_opened = active + closed + evicted_idle
-//     hold after every call (checked by the tests and by
-//     service::validate_service_bench).
+//     hold after every call (checked by the tests and, live, by the
+//     obs::HealthMonitor on every telemetry frame).
 //
 // Threading model: the service is driven by one harness thread (open /
 // ingest / advance / pump / close); parallelism is internal to pump(),
@@ -72,7 +72,7 @@ struct ServiceConfig {
   // this are shed (fabricated observers cannot grow the service).
   std::size_t max_sessions = 4096;
   // Global queued-round cap: rounds prepared while the queue is full are
-  // shed and counted (the overload regime the service_bench exercises).
+  // shed and counted (the overload regime tests/test_service.cpp drives).
   std::size_t max_queued_rounds = 4096;
   // Auto-pump threshold: ingest/advance pump inline once this many
   // rounds are queued — backpressure by batch execution. 0 = pump only

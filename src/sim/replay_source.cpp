@@ -12,8 +12,9 @@ namespace {
 
 // One identity's beacons heard by one observer over [0, duration):
 // nominal 1/rate spacing with MAC-ish jitter, values an AR(1) shadowing
-// walk around a mean level. The seed derivation is part of the bench
-// contract: changing it changes every BENCH_service/BENCH_wire workload.
+// walk around a mean level. The seed derivation is part of the replay
+// contract: changing it changes every synthetic workload, in
+// vp_ingest_client and in the service and wire tests alike.
 void synthesize_identity(std::uint64_t observer, IdentityId id,
                          double rate_hz, double duration_s,
                          std::vector<FleetBeacon>& out) {

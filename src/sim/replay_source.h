@@ -1,13 +1,13 @@
 // Shared fleet replay streams (DESIGN.md §14).
 //
-// Three drivers feed multi-observer beacon sequences into the detection
-// stack: examples/fleet_detection (simulated world), bench/*_throughput
-// (synthetic load), and the wire ingestion tier (tools/vp_ingest_client,
-// bench/wire_throughput). They must feed *identical* sequences for their
-// results to be comparable, so the replay construction lives here once:
-// a FleetBeacon stream in arrival order — every observer's receptions
-// merged and keyed (time, observer, identity), the interleaving a shared
-// ingestion front-end would see.
+// Several drivers feed multi-observer beacon sequences into the
+// detection stack: examples/fleet_detection (simulated world), the wire
+// replay client tools/vp_ingest_client (synthetic load), and the service
+// and wire unit tests (both). They must feed *identical* sequences for
+// their results to be comparable, so the replay construction lives here
+// once: a FleetBeacon stream in arrival order — every observer's
+// receptions merged and keyed (time, observer, identity), the
+// interleaving a shared ingestion front-end would see.
 #pragma once
 
 #include <cstdint>
@@ -40,11 +40,12 @@ std::vector<FleetBeacon> replay_from_world(
     const World& world, const std::vector<NodeId>& observers,
     double horizon_s, std::size_t min_samples = 1);
 
-// Synthetic fleet for load benchmarks: `observers` sessions (ids 1..n)
-// each hearing `identities` identities (ids 1..m) at nominal rate_hz
-// over [0, duration_s), with MAC-ish jitter and AR(1) shadowing around a
-// per-identity mean level. Deterministic: the RNG stream is seeded per
-// (observer, identity), so every caller gets bit-identical beacons.
+// Synthetic fleet for replay load and shedding tests: `observers`
+// sessions (ids 1..n) each hearing `identities` identities (ids 1..m) at
+// nominal rate_hz over [0, duration_s), with MAC-ish jitter and AR(1)
+// shadowing around a per-identity mean level. Deterministic: the RNG
+// stream is seeded per (observer, identity), so every caller gets
+// bit-identical beacons.
 std::vector<FleetBeacon> synthesize_fleet(std::size_t observers,
                                           std::size_t identities,
                                           double rate_hz, double duration_s);

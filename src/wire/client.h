@@ -1,8 +1,8 @@
 // Replay-side wire helpers (DESIGN.md §14): encode a fleet's beacons
 // into the VPWB byte stream one connection carries, and pump pre-encoded
-// bytes through a non-blocking Connection. Used by tools/vp_ingest_client,
-// bench/wire_throughput and tests/test_wire.cpp so all three send
-// byte-identical streams for the same fleet slice.
+// bytes through a non-blocking Connection. Used by tools/vp_ingest_client
+// and tests/test_wire.cpp so both send byte-identical streams for the
+// same fleet slice.
 #pragma once
 
 #include <cstdint>

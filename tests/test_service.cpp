@@ -7,9 +7,8 @@
 //   * Admission & backpressure — the session cap, the queued-round cap,
 //     idle eviction and close() all shed deterministically, and the
 //     conservation laws (beacons, rounds, sessions) hold after every
-//     call.
-//   * The voiceprint.service_bench/v1 builder and validator agree, and
-//     the validator rejects documents that break the conservation laws.
+//     call — also with every shedding path engaged at once under a live
+//     HealthMonitor.
 #include "service/service.h"
 
 #include <gtest/gtest.h>
@@ -20,7 +19,9 @@
 
 #include "common/rng.h"
 #include "core/detector.h"
-#include "service/report.h"
+#include "obs/runtime.h"
+#include "obs/telemetry.h"
+#include "sim/replay_source.h"
 #include "sim/world.h"
 #include "stream/engine.h"
 
@@ -346,57 +347,78 @@ TEST(DetectionService, ForwardsEngineAdmissionVerdicts) {
                 stats.beacons_shed_out_of_order);
 }
 
-ServiceBenchConfigResult consistent_result() {
-  ServiceBenchConfigResult r;
-  r.label = "s8_rate10";
-  r.sessions = 8;
-  r.identities_per_session = 16;
-  r.beacon_rate_hz = 10.0;
-  r.duration_s = 60.0;
-  r.shards = 4;
-  r.threads = 2;
-  r.offered = 1000;
-  r.ingested = 900;
-  r.shed = 100;
-  r.rounds_prepared = 24;
-  r.rounds_executed = 20;
-  r.rounds_shed = 4;
-  r.ingest_beacons_per_s = 5e6;
-  return r;
-}
+// Every shedding path at once: a fleet twice the session cap, each
+// session offered 10x its admission rate and twice its identity cap,
+// rings a fraction of a window, and a one-entry round queue pumped only
+// at the end. Every shed unit is counted, the Stats laws hold exactly,
+// and a live HealthMonitor sees no conservation law break on any
+// telemetry frame — including after every session is closed.
+TEST(DetectionService, OverloadShedsOnEveryPathUnderLiveMonitor) {
+  obs::registry().reset();
+  obs::HealthMonitor monitor = obs::HealthMonitor::with_default_invariants();
+  obs::TelemetryConfig telemetry_config;
+  telemetry_config.every_stream_s = 1.0;  // check the laws mid-overload
+  obs::TelemetryExporter telemetry(telemetry_config);
+  telemetry.set_monitor(&monitor);  // enables obs collection
 
-TEST(ServiceBenchReport, BuildsAndValidates) {
-  const obs::json::Value report =
-      build_service_bench_report("service_throughput", {consistent_result()});
-  std::string error;
-  EXPECT_TRUE(validate_service_bench(report, &error)) << error;
-}
+  constexpr double kDuration = 25.0;
+  const std::vector<sim::FleetBeacon> fleet =
+      sim::synthesize_fleet(8, 16, 10.0, kDuration);
+  ServiceConfig config;
+  config.max_sessions = 4;
+  config.max_queued_rounds = 1;
+  config.pump_batch_rounds = 0;  // manual pump only: force queue pressure
+  config.engine.detector = core::tuned_simulation_options(1);
+  config.engine.max_ingest_rate_hz = 16.0;
+  config.engine.ring_capacity = 32;
+  config.engine.max_identities = 8;
+  DetectionService service(config);
+  service.set_round_callback([&](const SessionRound& round) {
+    telemetry.on_round(round.round.time_s);
+  });
+  for (const sim::FleetBeacon& rx : fleet) {
+    service.ingest(rx.observer, rx.id, rx.time_s, rx.rssi_dbm);
+    telemetry.sample(rx.time_s);
+  }
+  service.advance_all_to(kDuration);
+  telemetry.sample(kDuration);
 
-TEST(ServiceBenchReport, RejectsBrokenConservationLaws) {
-  ServiceBenchConfigResult beacons = consistent_result();
-  beacons.ingested += 1;  // offered != ingested + shed
-  std::string error;
-  EXPECT_FALSE(validate_service_bench(
-      build_service_bench_report("b", {beacons}), &error));
-  EXPECT_NE(error.find("offered"), std::string::npos);
+  const DetectionService::Stats& stats = service.stats();
+  EXPECT_EQ(stats.beacons_offered, fleet.size());
+  EXPECT_GT(stats.beacons_shed_session_cap, 0u);
+  EXPECT_GT(stats.beacons_shed_rate_limited, 0u);
+  EXPECT_GT(stats.beacons_shed_identity_cap, 0u);
+  EXPECT_GT(stats.rounds_shed_queue_full, 0u);
+  EXPECT_EQ(stats.beacons_offered,
+            stats.beacons_ingested + stats.beacons_shed_session_cap +
+                stats.beacons_shed_rate_limited +
+                stats.beacons_shed_identity_cap +
+                stats.beacons_shed_out_of_order +
+                stats.beacons_shed_invalid + stats.beacons_shed_conditioned);
+  EXPECT_EQ(stats.rounds_prepared,
+            stats.rounds_executed + stats.rounds_shed_queue_full +
+                stats.rounds_shed_closed + service.queued_rounds());
+  EXPECT_EQ(stats.sessions_opened,
+            service.sessions_active() + stats.sessions_closed +
+                stats.sessions_evicted_idle);
 
-  ServiceBenchConfigResult rounds = consistent_result();
-  rounds.rounds_executed += 1;  // prepared != executed + shed
-  EXPECT_FALSE(validate_service_bench(
-      build_service_bench_report("b", {rounds}), &error));
-  EXPECT_NE(error.find("rounds_prepared"), std::string::npos);
-}
+  std::vector<SessionId> open_sessions;
+  service.for_each_session([&](SessionId id, const stream::StreamEngine&) {
+    open_sessions.push_back(id);
+  });
+  EXPECT_EQ(open_sessions.size(), config.max_sessions);
+  for (SessionId id : open_sessions) EXPECT_TRUE(service.close(id));
+  telemetry.finish(kDuration);
+  EXPECT_EQ(service.sessions_active(), 0u);
+  EXPECT_EQ(stats.sessions_opened,
+            stats.sessions_closed + stats.sessions_evicted_idle);
 
-TEST(ServiceBenchReport, RejectsWrongSchemaAndEmptyConfigs) {
-  std::string error;
-  obs::json::Object wrong;
-  wrong.emplace("schema", obs::json::Value("voiceprint.run_report/v1"));
-  EXPECT_FALSE(
-      validate_service_bench(obs::json::Value(std::move(wrong)), &error));
+  EXPECT_GE(telemetry.frames_emitted(), 25u);
+  EXPECT_EQ(monitor.alerts_total(), 0u)
+      << "a service conservation law broke under combined shedding";
 
-  const obs::json::Value empty = build_service_bench_report("b", {});
-  EXPECT_FALSE(validate_service_bench(empty, &error));
-  EXPECT_NE(error.find("configs"), std::string::npos);
+  obs::disable();
+  obs::registry().reset();
 }
 
 }  // namespace

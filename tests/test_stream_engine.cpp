@@ -203,6 +203,8 @@ TEST(StreamEngine, OverloadStaysBoundedAndCountsShedWork) {
                 stats.beacons_shed_out_of_order);
   EXPECT_GT(stats.beacons_shed_rate_limited, 0u);
   EXPECT_GT(stats.beacons_shed_identity_cap, 0u);
+  // Rings far below a window's worth of beacons evict their oldest.
+  EXPECT_GT(stats.ring_evictions, 0u);
   // Graceful degradation, not a stall: rounds kept coming (t = 20, 40).
   EXPECT_EQ(stats.rounds, 2u);
   ASSERT_TRUE(engine.last_round().has_value());

@@ -27,7 +27,6 @@
 #include "wire/client.h"
 #include "wire/frame.h"
 #include "wire/hash_ring.h"
-#include "wire/report.h"
 #include "wire/server.h"
 #include "wire/transport.h"
 
@@ -782,6 +781,78 @@ TEST(WireFailover, Shards4Threads0) { run_wire_parity(4, 0, 2, true); }
 TEST(WireFailover, Shards4Threads1) { run_wire_parity(4, 1, 2, true); }
 TEST(WireFailover, Shards4Threads4) { run_wire_parity(4, 4, 2, true); }
 
+// A digest of every verdict the direct reference reaches: per observer,
+// each round's id, time bits, sorted suspects and flagged pairs; then
+// each fused epoch's index and verdicts. Distances, bounds and trust
+// weights stay out, so a change that keeps every verdict keeps the
+// digest. Counts prefix each list, so no two outcomes share an encoding.
+std::uint64_t verdict_digest(const ParityWorld& world) {
+  std::vector<std::uint8_t> bytes;
+  ByteWriter out(bytes);
+  for (std::uint64_t observer : world.observers) {
+    const std::vector<stream::StreamRound>& rounds =
+        world.reference.at(observer);
+    out.put_u64(observer);
+    out.put_u64(rounds.size());
+    for (const stream::StreamRound& round : rounds) {
+      out.put_u64(round.round_id);
+      out.put_f64(round.time_s);
+      std::vector<IdentityId> suspects = round.suspects;
+      std::sort(suspects.begin(), suspects.end());
+      out.put_u64(suspects.size());
+      for (IdentityId id : suspects) out.put_u64(id);
+      std::vector<std::pair<IdentityId, IdentityId>> flagged;
+      for (const core::PairDistance& pair : round.pairs) {
+        if (pair.flagged) flagged.emplace_back(pair.a, pair.b);
+      }
+      out.put_u64(flagged.size());
+      for (const auto& [a, b] : flagged) {
+        out.put_u64(a);
+        out.put_u64(b);
+      }
+    }
+  }
+  const std::vector<fusion::FusedEpoch>& epochs =
+      world.fusion_reference.epochs;
+  out.put_u64(epochs.size());
+  for (const fusion::FusedEpoch& epoch : epochs) {
+    out.put_i64(epoch.index);
+    out.put_u64(epoch.verdicts.size());
+    for (const fusion::FusedVerdict& verdict : epoch.verdicts) {
+      out.put_u64(verdict.id);
+      out.put_u8(verdict.accused ? 1 : 0);
+      out.put_u32(verdict.voters);
+      out.put_u32(verdict.accusations);
+    }
+  }
+  return fnv1a64(bytes);
+}
+
+// The parity grid compares the wire paths with the direct reference, so
+// a drift that moves both would pass it; this pin holds the reference
+// itself (density 12, seed 5, 3 observers, 40 s). A change that moves
+// it updates the constant and says why in CHANGES.md.
+TEST(WireParity, ReferenceVerdictDigestIsPinned) {
+  const ParityWorld& world = parity_world();
+  std::size_t suspects = 0;
+  for (const auto& [observer, rounds] : world.reference) {
+    for (const stream::StreamRound& round : rounds) {
+      suspects += round.suspects.size();
+    }
+  }
+  std::size_t accused = 0;
+  for (const fusion::FusedEpoch& epoch : world.fusion_reference.epochs) {
+    for (const fusion::FusedVerdict& verdict : epoch.verdicts) {
+      accused += verdict.accused ? 1 : 0;
+    }
+  }
+  // Not vacuous: the reference accuses (14 suspects, 6 fused
+  // accusations at the pin).
+  EXPECT_GT(suspects, 0u);
+  EXPECT_GT(accused, 0u);
+  EXPECT_EQ(verdict_digest(world), 0x93c21e62038c26f8ULL);
+}
+
 // ------------------------------------------------------- TCP loopback
 
 TEST(TcpTransport, LoopbackSingleConnectionParity) {
@@ -838,61 +909,7 @@ TEST(TcpTransport, LoopbackSingleConnectionParity) {
   }
 }
 
-// ------------------------------------------------- report & telemetry
-
-WireBenchConfigResult sample_result() {
-  WireBenchConfigResult result;
-  result.label = "c2_rate10";
-  result.connections = 2;
-  result.observers = 4;
-  result.identities_per_observer = 3;
-  result.beacon_rate_hz = 10.0;
-  result.duration_s = 12.0;
-  result.backends = 1;
-  result.shards = 2;
-  result.threads = 1;
-  result.bytes_received = 5000;
-  result.frames_received = 100;
-  result.frames_ingested = 90;
-  result.frames_shed_invalid = 4;
-  result.frames_shed_backpressure = 6;
-  result.beacons_ingested = 80;
-  result.rounds_executed = 8;
-  result.wall_s = 0.5;
-  result.ingest_beacons_per_s = 160.0;
-  return result;
-}
-
-TEST(WireBenchReport, BuildsValidDocument) {
-  const obs::json::Value report =
-      build_wire_bench_report("test_wire", {sample_result()});
-  std::string error;
-  EXPECT_TRUE(validate_wire_bench(report, &error)) << error;
-}
-
-TEST(WireBenchReport, RejectsConservationViolation) {
-  WireBenchConfigResult result = sample_result();
-  result.frames_received += 1;  // a silently lost frame
-  std::string error;
-  EXPECT_FALSE(validate_wire_bench(
-      build_wire_bench_report("test_wire", {result}), &error));
-  EXPECT_NE(error.find("frames_received"), std::string::npos);
-}
-
-TEST(WireBenchReport, RejectsBeaconsExceedingFrames) {
-  WireBenchConfigResult result = sample_result();
-  result.beacons_ingested = result.frames_ingested + 1;
-  std::string error;
-  EXPECT_FALSE(validate_wire_bench(
-      build_wire_bench_report("test_wire", {result}), &error));
-}
-
-TEST(WireBenchReport, RejectsNonReportInput) {
-  std::string error;
-  EXPECT_FALSE(validate_wire_bench(obs::json::Value("nope"), &error));
-  EXPECT_FALSE(
-      validate_wire_bench(obs::json::Value(obs::json::Object{}), &error));
-}
+// ---------------------------------------------------------- telemetry
 
 TEST(WireTelemetry, ConservationLawHoldsAlertFree) {
   obs::registry().reset();

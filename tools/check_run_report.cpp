@@ -1,14 +1,14 @@
 // Schema checker for emitted observability artefacts:
 //
 //   check_run_report [report.json] [--trace <trace.jsonl>]
-//                    [--require <counter>]... [--stream-bench <bench.json>]
-//                    [--service-bench <bench.json>] [--chaos-bench <bench.json>]
-//                    [--fusion-bench <bench.json>] [--wire-bench <bench.json>]
+//                    [--require <counter>]... [--chaos-bench <bench.json>]
+//                    [--fusion-bench <bench.json>]
 //                    [--telemetry <telemetry.jsonl>]
 //
 // The positional run report may be omitted when only validating bench or
 // telemetry artefacts (e.g. `check_run_report --chaos-bench
 // BENCH_chaos.json`); --trace and --require need the report they qualify.
+// Any other `--` argument is a usage error.
 //
 // Parses the report and validates it against voiceprint.run_report/v1 via
 // obs::validate_run_report — the same function the unit tests call, so
@@ -16,28 +16,19 @@
 // --trace, every JSONL line must parse and pass obs::validate_span. Each
 // --require names a counter that must be present with a positive value
 // (how smoke.sh asserts the stream.* pipeline actually ran). With
-// --stream-bench, the file must pass stream::validate_stream_bench
-// (voiceprint.stream_bench/v1, including the shed-beacon conservation
-// law); with --service-bench, service::validate_service_bench
-// (voiceprint.service_bench/v1, including the beacon and round
-// conservation laws); with --chaos-bench, fault::validate_chaos_bench
+// --chaos-bench, the file must pass fault::validate_chaos_bench
 // (voiceprint.chaos_bench/v1, including the injector and serving-stack
 // conservation laws and the per-run divergence ceilings); with
 // --fusion-bench, fusion::validate_fusion_bench
 // (voiceprint.fusion_bench/v1, including the round conservation law
 // rounds_delivered = fused + expired + pending, trust bounds in [0, 1],
 // and fused DR >= single DR / fused FPR <= single FPR on every
-// multi-observer row); with --wire-bench, wire::validate_wire_bench
-// (voiceprint.wire_bench/v1, including the wire frame conservation law
-// frames_received = frames_ingested + frames_shed_invalid +
-// frames_shed_backpressure at quiescence). With --telemetry, every JSONL
-// frame must pass
+// multi-observer row). With --telemetry, every JSONL frame must pass
 // obs::TelemetryValidator (voiceprint.telemetry/v1 schema, gapless frame
 // sequence, non-decreasing stream clock, counter monotonicity, histogram
 // shape, and the conservation laws re-evaluated per frame). Exit status 0
-// on success, 1 on any violation (with
-// a one-line reason on stderr). Used by scripts/smoke.sh (the `smoke`
-// ctest).
+// on success, 1 on any violation (with a one-line reason on stderr).
+// Used by scripts/smoke.sh (the `smoke` ctest).
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -49,40 +40,37 @@
 #include "obs/json.h"
 #include "obs/report.h"
 #include "obs/telemetry.h"
-#include "service/report.h"
-#include "stream/report.h"
-#include "wire/report.h"
 
 namespace {
 
-bool read_file(const std::string& path, std::string& out) {
+using Validator = bool (*)(const vp::obs::json::Value&, std::string*);
+
+// Reads `path`, parses it as one JSON document and runs `validate` on it.
+// On any failure prints the one-line reason and returns false.
+bool load_valid(const std::string& path, Validator validate,
+                vp::obs::json::Value& doc) {
   std::ifstream in(path);
-  if (!in) return false;
+  if (!in) {
+    std::cerr << "check_run_report: cannot read " << path << "\n";
+    return false;
+  }
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  out = buffer.str();
-  return true;
+  std::string error;
+  try {
+    doc = vp::obs::json::parse(buffer.str());
+    if (validate(doc, &error)) return true;
+  } catch (const std::exception& e) {
+    error = e.what();
+  }
+  std::cerr << "check_run_report: " << path << ": " << error << "\n";
+  return false;
 }
 
 int check_report(const std::string& path,
                  const std::vector<std::string>& required_counters) {
-  std::string text;
-  if (!read_file(path, text)) {
-    std::cerr << "check_run_report: cannot read " << path << "\n";
-    return 1;
-  }
   vp::obs::json::Value report;
-  try {
-    report = vp::obs::json::parse(text);
-  } catch (const std::exception& e) {
-    std::cerr << "check_run_report: " << path << ": " << e.what() << "\n";
-    return 1;
-  }
-  std::string error;
-  if (!vp::obs::validate_run_report(report, &error)) {
-    std::cerr << "check_run_report: " << path << ": " << error << "\n";
-    return 1;
-  }
+  if (!load_valid(path, vp::obs::validate_run_report, report)) return 1;
   const auto& counters = report.find("counters")->as_object();
   for (const std::string& name : required_counters) {
     const auto it = counters.find(name);
@@ -103,122 +91,14 @@ int check_report(const std::string& path,
   return 0;
 }
 
-int check_stream_bench(const std::string& path) {
-  std::string text;
-  if (!read_file(path, text)) {
-    std::cerr << "check_run_report: cannot read " << path << "\n";
-    return 1;
-  }
+// A bench document: valid under `validate`, then summarised by the size
+// of its `rows` array ("ok: <path> (<n> <noun>)").
+int check_bench(const std::string& path, Validator validate,
+                const char* rows, const char* noun) {
   vp::obs::json::Value bench;
-  try {
-    bench = vp::obs::json::parse(text);
-  } catch (const std::exception& e) {
-    std::cerr << "check_run_report: " << path << ": " << e.what() << "\n";
-    return 1;
-  }
-  std::string error;
-  if (!vp::stream::validate_stream_bench(bench, &error)) {
-    std::cerr << "check_run_report: " << path << ": " << error << "\n";
-    return 1;
-  }
-  std::cout << "ok: " << path << " ("
-            << bench.find("configs")->as_array().size()
-            << " stream bench configs)\n";
-  return 0;
-}
-
-int check_service_bench(const std::string& path) {
-  std::string text;
-  if (!read_file(path, text)) {
-    std::cerr << "check_run_report: cannot read " << path << "\n";
-    return 1;
-  }
-  vp::obs::json::Value bench;
-  try {
-    bench = vp::obs::json::parse(text);
-  } catch (const std::exception& e) {
-    std::cerr << "check_run_report: " << path << ": " << e.what() << "\n";
-    return 1;
-  }
-  std::string error;
-  if (!vp::service::validate_service_bench(bench, &error)) {
-    std::cerr << "check_run_report: " << path << ": " << error << "\n";
-    return 1;
-  }
-  std::cout << "ok: " << path << " ("
-            << bench.find("configs")->as_array().size()
-            << " service bench configs)\n";
-  return 0;
-}
-
-int check_chaos_bench(const std::string& path) {
-  std::string text;
-  if (!read_file(path, text)) {
-    std::cerr << "check_run_report: cannot read " << path << "\n";
-    return 1;
-  }
-  vp::obs::json::Value bench;
-  try {
-    bench = vp::obs::json::parse(text);
-  } catch (const std::exception& e) {
-    std::cerr << "check_run_report: " << path << ": " << e.what() << "\n";
-    return 1;
-  }
-  std::string error;
-  if (!vp::fault::validate_chaos_bench(bench, &error)) {
-    std::cerr << "check_run_report: " << path << ": " << error << "\n";
-    return 1;
-  }
-  std::cout << "ok: " << path << " ("
-            << bench.find("runs")->as_array().size() << " chaos runs)\n";
-  return 0;
-}
-
-int check_fusion_bench(const std::string& path) {
-  std::string text;
-  if (!read_file(path, text)) {
-    std::cerr << "check_run_report: cannot read " << path << "\n";
-    return 1;
-  }
-  vp::obs::json::Value bench;
-  try {
-    bench = vp::obs::json::parse(text);
-  } catch (const std::exception& e) {
-    std::cerr << "check_run_report: " << path << ": " << e.what() << "\n";
-    return 1;
-  }
-  std::string error;
-  if (!vp::fusion::validate_fusion_bench(bench, &error)) {
-    std::cerr << "check_run_report: " << path << ": " << error << "\n";
-    return 1;
-  }
-  std::cout << "ok: " << path << " ("
-            << bench.find("configs")->as_array().size()
-            << " fusion bench configs)\n";
-  return 0;
-}
-
-int check_wire_bench(const std::string& path) {
-  std::string text;
-  if (!read_file(path, text)) {
-    std::cerr << "check_run_report: cannot read " << path << "\n";
-    return 1;
-  }
-  vp::obs::json::Value bench;
-  try {
-    bench = vp::obs::json::parse(text);
-  } catch (const std::exception& e) {
-    std::cerr << "check_run_report: " << path << ": " << e.what() << "\n";
-    return 1;
-  }
-  std::string error;
-  if (!vp::wire::validate_wire_bench(bench, &error)) {
-    std::cerr << "check_run_report: " << path << ": " << error << "\n";
-    return 1;
-  }
-  std::cout << "ok: " << path << " ("
-            << bench.find("configs")->as_array().size()
-            << " wire bench configs)\n";
+  if (!load_valid(path, validate, bench)) return 1;
+  std::cout << "ok: " << path << " (" << bench.find(rows)->as_array().size()
+            << " " << noun << ")\n";
   return 0;
 }
 
@@ -301,19 +181,14 @@ int check_trace(const std::string& path) {
 int main(int argc, char** argv) {
   constexpr const char* kUsage =
       "usage: check_run_report [report.json] [--trace <trace.jsonl>] "
-      "[--require <counter>]... [--stream-bench <bench.json>] "
-      "[--service-bench <bench.json>] [--chaos-bench <bench.json>] "
-      "[--fusion-bench <bench.json>] "
-      "[--wire-bench <bench.json>] [--telemetry <telemetry.jsonl>]\n"
+      "[--require <counter>]... [--chaos-bench <bench.json>] "
+      "[--fusion-bench <bench.json>] [--telemetry <telemetry.jsonl>]\n"
       "       (report.json may be omitted when only bench/telemetry "
       "artefacts are checked)\n";
   std::string report_path;
   std::string trace_path;
-  std::string stream_bench_path;
-  std::string service_bench_path;
   std::string chaos_bench_path;
   std::string fusion_bench_path;
-  std::string wire_bench_path;
   std::string telemetry_path;
   std::vector<std::string> required_counters;
   for (int i = 1; i < argc; ++i) {
@@ -322,30 +197,21 @@ int main(int argc, char** argv) {
       trace_path = argv[++i];
     } else if (arg == "--require" && i + 1 < argc) {
       required_counters.push_back(argv[++i]);
-    } else if (arg == "--stream-bench" && i + 1 < argc) {
-      stream_bench_path = argv[++i];
-    } else if (arg == "--service-bench" && i + 1 < argc) {
-      service_bench_path = argv[++i];
     } else if (arg == "--chaos-bench" && i + 1 < argc) {
       chaos_bench_path = argv[++i];
     } else if (arg == "--fusion-bench" && i + 1 < argc) {
       fusion_bench_path = argv[++i];
-    } else if (arg == "--wire-bench" && i + 1 < argc) {
-      wire_bench_path = argv[++i];
     } else if (arg == "--telemetry" && i + 1 < argc) {
       telemetry_path = argv[++i];
-    } else if (report_path.empty()) {
+    } else if (report_path.empty() && arg.rfind("--", 0) != 0) {
       report_path = arg;
     } else {
       std::cerr << kUsage;
       return 1;
     }
   }
-  const bool has_bench = !stream_bench_path.empty() ||
-                         !service_bench_path.empty() ||
-                         !chaos_bench_path.empty() ||
+  const bool has_bench = !chaos_bench_path.empty() ||
                          !fusion_bench_path.empty() ||
-                         !wire_bench_path.empty() ||
                          !telemetry_path.empty();
   if (report_path.empty() &&
       (!has_bench || !trace_path.empty() || !required_counters.empty())) {
@@ -357,13 +223,15 @@ int main(int argc, char** argv) {
     status = check_report(report_path, required_counters);
   }
   if (!trace_path.empty()) status |= check_trace(trace_path);
-  if (!stream_bench_path.empty()) status |= check_stream_bench(stream_bench_path);
-  if (!service_bench_path.empty()) {
-    status |= check_service_bench(service_bench_path);
+  if (!chaos_bench_path.empty()) {
+    status |= check_bench(chaos_bench_path, vp::fault::validate_chaos_bench,
+                          "runs", "chaos runs");
   }
-  if (!chaos_bench_path.empty()) status |= check_chaos_bench(chaos_bench_path);
-  if (!fusion_bench_path.empty()) status |= check_fusion_bench(fusion_bench_path);
-  if (!wire_bench_path.empty()) status |= check_wire_bench(wire_bench_path);
+  if (!fusion_bench_path.empty()) {
+    status |= check_bench(fusion_bench_path,
+                          vp::fusion::validate_fusion_bench, "configs",
+                          "fusion bench configs");
+  }
   if (!telemetry_path.empty()) status |= check_telemetry(telemetry_path);
   return status;
 }

@@ -1,7 +1,7 @@
-// Wire replay client (DESIGN.md §14): synthesises the same fleet the
-// throughput benches use (sim::synthesize_fleet — identical seeds, so a
-// given --sessions/--identities/--rate/--duration names one exact
-// workload), encodes it into VPWB streams, and replays them to a
+// Wire replay client (DESIGN.md §14): synthesises a seeded fleet
+// (sim::synthesize_fleet — identical seeds, so a given
+// --sessions/--identities/--rate/--duration names one exact workload),
+// encodes it into VPWB streams, and replays them to a
 // vp_ingest_server over loopback TCP across one or more connections.
 //
 //   ./build/tools/vp_ingest_client --port-file /tmp/vp.port
