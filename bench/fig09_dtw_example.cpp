@@ -22,13 +22,19 @@ int main() {
   {
     std::vector<std::string> headers = {"c(i,j)"};
     for (std::size_t j = 0; j < y.size(); ++j) {
-      headers.push_back("y" + std::to_string(j + 1) + "=" +
-                        Table::num(y[j], 0));
+      std::string header = "y";
+      header += std::to_string(j + 1);
+      header += "=";
+      header += Table::num(y[j], 0);
+      headers.push_back(header);
     }
     Table table(headers);
     for (std::size_t i = 0; i < x.size(); ++i) {
-      std::vector<std::string> row = {"x" + std::to_string(i + 1) + "=" +
-                                      Table::num(x[i], 0)};
+      std::string label = "x";
+      label += std::to_string(i + 1);
+      label += "=";
+      label += Table::num(x[i], 0);
+      std::vector<std::string> row = {label};
       for (std::size_t j = 0; j < y.size(); ++j) {
         row.push_back(Table::num(ts::local_cost(x[i], y[j],
                                                 ts::LocalCost::kSquared),

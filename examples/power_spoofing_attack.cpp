@@ -61,9 +61,12 @@ void report(const std::string& title,
   Table table({"pair", "normalised DTW"});
   for (const core::PairDistance& p :
        core::compare_series(heard, options.comparison)) {
-    table.add_row({"(" + std::to_string(p.a) + "," + std::to_string(p.b) +
-                       ")",
-                   Table::num(p.normalized, 4)});
+    std::string pair = "(";
+    pair += std::to_string(p.a);
+    pair += ",";
+    pair += std::to_string(p.b);
+    pair += ")";
+    table.add_row({pair, Table::num(p.normalized, 4)});
   }
   table.print(std::cout);
   std::cout << "flagged:";

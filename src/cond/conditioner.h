@@ -17,9 +17,8 @@
 //   * EMA alpha:        Q15 in int32 (32768 == 1.0).
 //
 // No floating point touches the filter path, so outputs are
-// bit-identical across platforms, compilers, optimisation levels and
-// SIMD modes — the same property the scalar/AVX2 DTW kernels promise,
-// extended down to the first sample the engine stores. The only float
+// bit-identical across platforms, compilers and optimisation levels,
+// down to the first sample the engine stores. The only float
 // steps are the boundary conversions to_q12/from_q12, which are exact
 // dyadic operations (from_q12 in particular is value/4096.0, exact in
 // double for the whole int32 range).

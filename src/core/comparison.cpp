@@ -454,7 +454,7 @@ bool cascade_supported(const ComparisonOptions& options) {
     return false;
   }
   // kNone alignment can produce unequal lengths; the bounds and the
-  // wavefront kernel are equal-length constructions.
+  // banded kernel are equal-length constructions.
   if (options.alignment == ComparisonOptions::Alignment::kNone) return false;
   // The cascade's sketches assume Eq. 7 is in play (z-transformed bounds).
   if (!options.z_score_normalize) return false;
@@ -475,7 +475,7 @@ double ub_per_step(double acc, std::size_t len,
   return options.length_normalize ? acc / static_cast<double>(len) : acc;
 }
 
-// Result of the banded wavefront kernel run against a per-step discard
+// Result of the banded DTW kernel run against a per-step discard
 // threshold.
 struct KernelProbe {
   double lb = 0.0;   // refined per-step lower bound

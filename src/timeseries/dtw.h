@@ -126,13 +126,11 @@ struct DtwWorkspace {
   std::vector<std::size_t> proj_lo, proj_hi;
   std::vector<unsigned char> proj_set;
   // Lower-bound cascade scratch (timeseries/lower_bound.h): cached
-  // Sakoe–Chiba envelopes for LB_Keogh, a reversed-x copy (so the
-  // anti-diagonal wavefront kernel reads x with contiguous loads), and the
-  // kernel's rotating wavefront diagonals — accumulated cost and path
-  // length kept as two structure-of-arrays triples.
+  // Sakoe–Chiba envelopes for LB_Keogh, and the banded kernel's two rolling
+  // rows — accumulated cost and path length kept as structure-of-arrays
+  // pairs.
   std::vector<double> env_lo, env_hi;
-  std::vector<double> zx_rev;
-  std::array<std::vector<double>, 3> wave_d, wave_l;
+  std::array<std::vector<double>, 2> row_d, row_l;
 
   Stats stats;
 };

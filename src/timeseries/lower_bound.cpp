@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "common/error.h"
-#include "timeseries/simd.h"
 
 namespace vp::ts {
 
@@ -31,8 +30,6 @@ double bound_pad(double sum, std::size_t m, double e, LocalCost cost) {
   return 2.0 * pad;
 }
 }  // namespace
-
-const char* simd_backend_name() { return simd::kBackend; }
 
 SeriesSketch sketch_series(std::span<const double> xs) {
   VP_REQUIRE(!xs.empty());
@@ -236,159 +233,35 @@ double diagonal_upper_bound(std::span<const double> a, const SeriesSketch& sa,
   return std::isnan(ub) ? kInf : ub;
 }
 
-
 namespace {
 
-// The wavefront DP over one anti-diagonal k reads only diagonals k-1 and
-// k-2, so its cells are data-independent and vectorise. Buffers are sized
-// n+2 and addressed through a +1-offset pointer: position j-1 is valid for
-// j = 0, and the slots one past each diagonal's active range hold +inf
-// guards, which is exactly how the row-sliced DP treats out-of-window
-// parents. Path lengths ride along as doubles (exact up to 2^53) through
-// the same select tie-break — diag first, then left, then up, strict < —
-// that dtw_windowed uses, so both the distance and the path length are
-// bit-identical to dtw_banded()/dtw(). Vectorised when the build carries a
-// vector backend; the scalar tail loop alone is the VP_SIMD=scalar build.
-template <bool kSquaredCost>
-BandedDistance wavefront_sweep(const double* xr, const double* y,
-                               std::ptrdiff_t n, std::ptrdiff_t w,
-                               double abandon_above, DtwWorkspace& workspace) {
-  const std::size_t needed = static_cast<std::size_t>(n) + 2;
-  ++workspace.stats.dp_solves;
-  if (needed > workspace.wave_d[0].capacity()) ++workspace.stats.grows;
-  double* d[3];
-  double* l[3];
-  for (int r = 0; r < 3; ++r) {
-    workspace.wave_d[r].assign(needed, kInf);
-    workspace.wave_l[r].assign(needed, 0.0);
-    d[r] = workspace.wave_d[r].data() + 1;
-    l[r] = workspace.wave_l[r].data() + 1;
-  }
-
-  double prev_min = kInf;
-  std::uint64_t cells = 0;
-  for (std::ptrdiff_t k = 0; k <= 2 * (n - 1); ++k) {
-    double* dk = d[k % 3];
-    double* lk = l[k % 3];
-    const double* dk1 = d[(k + 2) % 3];
-    const double* lk1 = l[(k + 2) % 3];
-    const double* dk2 = d[(k + 1) % 3];
-    const double* lk2 = l[(k + 1) % 3];
-
-    // Column range of diagonal k: inside the matrix and |i-j| <= w with
-    // i = k - j. Both ends are non-decreasing in k (by at most 1 per
-    // step), which is what makes the two guard slots below sufficient.
-    std::ptrdiff_t jlo = std::max<std::ptrdiff_t>(0, k - (n - 1));
-    if (k - w + 1 > 0) jlo = std::max(jlo, (k - w + 1) / 2);
-    const std::ptrdiff_t jhi =
-        std::min(std::min(k, n - 1), (k + w) / 2);
-    cells += static_cast<std::uint64_t>(jhi - jlo + 1);
-
-    double cur_min = kInf;
-    if (k == 0) {
-      // Base cell (0,0): accumulated cost is the local cost alone.
-      const double dd = xr[n - 1] - y[0];
-      const double c = kSquaredCost ? dd * dd : std::fabs(dd);
-      dk[0] = c;
-      lk[0] = 1.0;
-      cur_min = c;
-    } else {
-      // x[i] = x[k-j] = xr[n-1-k+j]: contiguous in j via the reversed copy.
-      const double* xrow = xr + (n - 1 - k);
-      std::ptrdiff_t j = jlo;
-      if constexpr (simd::vectorized()) {
-        const std::ptrdiff_t kW =
-            static_cast<std::ptrdiff_t>(simd::kWidth);
-        simd::VecD acc = simd::set1(kInf);
-        const simd::VecD one = simd::set1(1.0);
-        for (; j + kW <= jhi + 1; j += kW) {
-          simd::VecD best = simd::loadu(dk2 + j - 1);   // diag
-          simd::VecD len = simd::loadu(lk2 + j - 1);
-          const simd::VecD left = simd::loadu(dk1 + j - 1);
-          const simd::VecD lleft = simd::loadu(lk1 + j - 1);
-          const auto m1 = simd::cmp_lt(left, best);
-          best = simd::select(m1, left, best);
-          len = simd::select(m1, lleft, len);
-          const simd::VecD up = simd::loadu(dk1 + j);
-          const simd::VecD lup = simd::loadu(lk1 + j);
-          const auto m2 = simd::cmp_lt(up, best);
-          best = simd::select(m2, up, best);
-          len = simd::select(m2, lup, len);
-          const simd::VecD dd = simd::sub(simd::loadu(xrow + j),
-                                          simd::loadu(y + j));
-          const simd::VecD c =
-              kSquaredCost ? simd::mul(dd, dd) : simd::abs(dd);
-          const simd::VecD val = simd::add(c, best);
-          simd::storeu(dk + j, val);
-          simd::storeu(lk + j, simd::add(len, one));
-          acc = simd::min(acc, val);
-        }
-        cur_min = std::min(cur_min, simd::horizontal_min(acc));
-      }
-      for (; j <= jhi; ++j) {
-        double best = dk2[j - 1];  // diag
-        double len = lk2[j - 1];
-        if (dk1[j - 1] < best) {  // left
-          best = dk1[j - 1];
-          len = lk1[j - 1];
-        }
-        if (dk1[j] < best) {  // up
-          best = dk1[j];
-          len = lk1[j];
-        }
-        const double dd = xrow[j] - y[j];
-        const double c = kSquaredCost ? dd * dd : std::fabs(dd);
-        const double val = c + best;
-        dk[j] = val;
-        lk[j] = len + 1.0;
-        cur_min = std::min(cur_min, val);
-      }
-    }
-    // Guard slots: parents one past the active range must read as +inf.
-    dk[jlo - 1] = kInf;
-    dk[jhi + 1] = kInf;
-
-    // Early abandoning: each cell of diagonal k+1 has all its parents on
-    // diagonals k and k-1, and local costs are non-negative, so once the
-    // minima of two consecutive diagonals both exceed the ceiling, every
-    // later diagonal — including the final corner — does too.
-    if (k > 0 && std::min(prev_min, cur_min) > abandon_above) {
-      workspace.stats.cells += cells;
-      return {.distance = kInf, .path_cells = 0, .abandoned = true};
-    }
-    prev_min = cur_min;
-  }
-  workspace.stats.cells += cells;
-  const std::ptrdiff_t last = 2 * (n - 1);
-  return {.distance = d[last % 3][n - 1],
-          .path_cells = static_cast<std::uint64_t>(l[last % 3][n - 1]),
-          .abandoned = false};
-}
-
-// Row-major sweep for narrow bands, where anti-diagonals hold at most
-// 2w + 1 cells and the wavefront is mostly loop overhead. Same parent
-// expressions, same evaluation order, same strict-< tie-breaks (diag,
-// left, up) as the wavefront — hence bit-identical in distance and path
-// length to dtw_banded()/dtw(). Early abandoning here needs only ONE row
-// above the ceiling: every monotone path to the final corner passes
-// through some cell of each row i, its prefix cost there is at least the
-// DP value of that cell (the minimum over all prefixes), hence at least
-// the row minimum, and local costs are non-negative.
+// Row-major banded DP over two rolling rows. Buffers are sized n+2 and
+// addressed through a +1-offset pointer: position j-1 is valid for j = 0,
+// and the slots one past each row's active range hold +inf guards, which
+// is exactly how the row-sliced DP treats out-of-window parents. Path
+// lengths ride along as doubles (exact up to 2^53) through the same
+// strict-< tie-break — diag first, then left, then up — that dtw_windowed
+// uses, so both the distance and the path length are bit-identical to
+// dtw_banded()/dtw(). Early abandoning needs only ONE row above the
+// ceiling: every monotone path to the final corner passes through some
+// cell of each row i, its prefix cost there is at least the DP value of
+// that cell (the minimum over all prefixes), hence at least the row
+// minimum, and local costs are non-negative.
 template <bool kSquaredCost>
 BandedDistance row_sweep(const double* x, const double* y, std::ptrdiff_t n,
                          std::ptrdiff_t w, double abandon_above,
                          DtwWorkspace& workspace) {
   const std::size_t needed = static_cast<std::size_t>(n) + 2;
   ++workspace.stats.dp_solves;
-  if (needed > workspace.wave_d[0].capacity()) ++workspace.stats.grows;
-  workspace.wave_d[0].assign(needed, kInf);
-  workspace.wave_d[1].assign(needed, kInf);
-  workspace.wave_l[0].assign(needed, 0.0);
-  workspace.wave_l[1].assign(needed, 0.0);
-  double* prev = workspace.wave_d[0].data() + 1;
-  double* cur = workspace.wave_d[1].data() + 1;
-  double* lprev = workspace.wave_l[0].data() + 1;
-  double* lcur = workspace.wave_l[1].data() + 1;
+  if (needed > workspace.row_d[0].capacity()) ++workspace.stats.grows;
+  workspace.row_d[0].assign(needed, kInf);
+  workspace.row_d[1].assign(needed, kInf);
+  workspace.row_l[0].assign(needed, 0.0);
+  workspace.row_l[1].assign(needed, 0.0);
+  double* prev = workspace.row_d[0].data() + 1;
+  double* cur = workspace.row_d[1].data() + 1;
+  double* lprev = workspace.row_l[0].data() + 1;
+  double* lcur = workspace.row_l[1].data() + 1;
   // Virtual row -1: all +inf except the diagonal parent of (0,0), which
   // seeds the base cell with accumulated cost 0 and path length 0.
   prev[-1] = 0.0;
@@ -453,28 +326,11 @@ BandedDistance banded_dtw_distance(std::span<const double> x,
   std::ptrdiff_t w = static_cast<std::ptrdiff_t>(band);
   if (w == 0 || w > n - 1) w = n - 1;
 
-  // Narrow bands take the row sweep. Dispatch on band geometry only, NOT
-  // on the build's vector backend: both traversals are bit-identical in
-  // results, but they abandon at different points, and the scalar and
-  // vector builds must stay trivially identical in every observable.
-  if (2 * w + 1 <= 9 && n > 1) {
-    return cost == LocalCost::kSquared
-               ? row_sweep<true>(x.data(), y.data(), n, w, abandon_above,
-                                 workspace)
-               : row_sweep<false>(x.data(), y.data(), n, w, abandon_above,
-                                  workspace);
-  }
-
-  // Reversed copy of x so every anti-diagonal reads x contiguously.
-  std::vector<double>& xr = workspace.zx_rev;
-  xr.resize(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) xr[i] = x[x.size() - 1 - i];
-
   return cost == LocalCost::kSquared
-             ? wavefront_sweep<true>(xr.data(), y.data(), n, w, abandon_above,
-                                     workspace)
-             : wavefront_sweep<false>(xr.data(), y.data(), n, w,
-                                      abandon_above, workspace);
+             ? row_sweep<true>(x.data(), y.data(), n, w, abandon_above,
+                               workspace)
+             : row_sweep<false>(x.data(), y.data(), n, w, abandon_above,
+                                workspace);
 }
 
 }  // namespace vp::ts

@@ -1,6 +1,6 @@
 // UCR-suite style lower/upper bounds for the pairwise DTW sweep, plus the
-// anti-diagonal wavefront kernel that replaces the row-sliced windowed DP
-// for the band sweeps that survive pruning.
+// early-abandoning banded DTW kernel that resolves the pairs that survive
+// pruning.
 //
 // The detector's comparison sweep (core::compare_series_pruned) measures
 // the banded
@@ -21,12 +21,11 @@
 //   LB_Keogh — O(n·band) Sakoe–Chiba envelope bound over the Z-images,
 //              with exact corner costs folded in and maxed with LB_Kim so
 //              the cascade is monotone: LB_Kim ≤ LB_Keogh ≤ banded DTW.
-//   Kernel   — the banded DP itself, swept by anti-diagonals so the cells
-//              of one diagonal have no data dependencies and vectorise
-//              (timeseries/simd.h), with early abandoning against a
-//              caller-supplied ceiling. Bit-identical in distance AND
-//              warp-path length to dtw_banded()/dtw(), so for exact DTW
-//              it is not a bound but the answer.
+//   Kernel   — the banded DP itself, swept row by row in two rolling
+//              buffers, with early abandoning against a caller-supplied
+//              ceiling. Bit-identical in distance AND warp-path length to
+//              dtw_banded()/dtw(), so for exact DTW it is not a bound but
+//              the answer.
 //
 // All bounds are on the *accumulated* cost (Eq. 6 scale); callers divide
 // by the appropriate path-length extreme when per-step costs are compared
@@ -114,27 +113,20 @@ struct BandedDistance {
   // Number of cells on the recovered-equivalent optimal path — identical
   // to dtw_banded()'s path.size() (same argmin tie-break: diag, left, up).
   std::uint64_t path_cells = 0;
-  // True when every cell of two consecutive anti-diagonals exceeded
-  // `abandon_above`: since costs are non-negative, every later cell —
-  // including the final corner — then exceeds it too, so the exact
+  // True when every cell of one row exceeded `abandon_above`: every warp
+  // path crosses that row and costs are non-negative, so the exact
   // distance is provably > abandon_above. distance/path_cells are not
   // meaningful in that case.
   bool abandoned = false;
 };
 
-// Banded DTW distance between equal-length series. Narrow bands take a
-// row sweep; wider ones an anti-diagonal wavefront, vectorised via
-// timeseries/simd.h when the build carries a vector backend (the scalar
-// build is bit-identical — same operations, same tie-breaks). `band` as in
-// dtw_banded; band == 0 or band >= n-1 sweeps the full matrix, matching
-// plain dtw(). Pass abandon_above = +infinity to disable early abandoning.
+// Banded DTW distance between equal-length series, swept row by row in
+// O(n) memory (workspace.row_d / row_l). `band` as in dtw_banded;
+// band == 0 or band >= n-1 sweeps the full matrix, matching plain dtw().
+// Pass abandon_above = +infinity to disable early abandoning.
 BandedDistance banded_dtw_distance(std::span<const double> x,
                                    std::span<const double> y, std::size_t band,
                                    LocalCost cost, double abandon_above,
                                    DtwWorkspace& workspace);
-
-// Name of the compiled-in SIMD backend ("avx2", "neon" or "scalar"), for
-// bench artefacts and run reports.
-const char* simd_backend_name();
 
 }  // namespace vp::ts

@@ -81,11 +81,21 @@ TEST(ByteReader, GettersFailOnTruncationLeavingValuesUntouched) {
     EXPECT_EQ(ok64, cut >= 13);
     EXPECT_EQ(oki, cut >= 21);
     EXPECT_EQ(okf, cut >= 29);
-    if (!ok8) EXPECT_EQ(u8, 0xEE);
-    if (!ok32) EXPECT_EQ(u32, 0xEEEEEEEEu);
-    if (!ok64) EXPECT_EQ(u64, 0xEEEEEEEEEEEEEEEEULL);
-    if (!oki) EXPECT_EQ(i64, -1);
-    if (!okf) EXPECT_EQ(f64, 1e9);
+    if (!ok8) {
+      EXPECT_EQ(u8, 0xEE);
+    }
+    if (!ok32) {
+      EXPECT_EQ(u32, 0xEEEEEEEEu);
+    }
+    if (!ok64) {
+      EXPECT_EQ(u64, 0xEEEEEEEEEEEEEEEEULL);
+    }
+    if (!oki) {
+      EXPECT_EQ(i64, -1);
+    }
+    if (!okf) {
+      EXPECT_EQ(f64, 1e9);
+    }
   }
 }
 

@@ -173,7 +173,9 @@ TEST_P(AreaReplay, DetectsAcrossAreas) {
   // Sybil pairs must rank below the bulk of normal pairs everywhere.
   for (const FieldDetection& d : result.detections) {
     for (const PairRecord& p : d.pairs) {
-      if (p.sybil_pair) EXPECT_LT(p.distance, 0.5);
+      if (p.sybil_pair) {
+        EXPECT_LT(p.distance, 0.5);
+      }
     }
   }
 }

@@ -4,10 +4,9 @@
 //     family the pipeline can produce (AR noise, constants, monotone
 //     ramps, near-flat traces that defeat the approximate sketch, and
 //     fault-injected beacon streams), every band and both local costs.
-//   * Kernel parity — banded_dtw_distance is bit-identical in distance
-//     AND path cell count to dtw_banded()/dtw(), narrow bands (row sweep)
-//     and wide (wavefront), with whichever vector backend the build
-//     carries (the VP_SIMD=scalar build runs the same suite).
+//   * Kernel parity — banded_dtw_distance's row sweep is bit-identical in
+//     distance AND path cell count to dtw_banded()/dtw() at every band,
+//     narrow to full matrix, and at lengths 1 to 3 as well as 50.
 //   * Abandon soundness — an abandoned sweep proves the distance exceeds
 //     the ceiling; a ceiling at or above the true distance never
 //     abandons and returns the exact answer.
@@ -23,6 +22,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -162,25 +162,32 @@ TEST(LowerBound, IdenticalSeriesAllBoundsZero) {
 }
 
 TEST(LowerBound, KernelBitIdenticalToReferenceDtw) {
-  constexpr std::size_t kLen = 50;
-  const std::vector<double> a = ts::z_score_enhanced(ar_series(kLen, 11));
-  const std::vector<double> b = ts::z_score_enhanced(ar_series(kLen, 12));
+  const std::vector<double> za = ts::z_score_enhanced(ar_series(50, 11));
+  const std::vector<double> zb = ts::z_score_enhanced(ar_series(50, 12));
   ts::DtwWorkspace workspace;
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  for (const ts::LocalCost cost :
-       {ts::LocalCost::kSquared, ts::LocalCost::kAbsolute}) {
-    // Narrow bands run the row sweep, wide ones the wavefront; 0 and
-    // >= n-1 sweep the full matrix and must match plain dtw().
-    for (const std::size_t band :
-         {0ul, 1ul, 2ul, 3ul, 5ul, 8ul, 32ul, kLen - 1, kLen + 10}) {
-      const ts::BandedDistance got =
-          ts::banded_dtw_distance(a, b, band, cost, kInf, workspace);
-      const ts::DtwResult ref = (band == 0 || band >= kLen - 1)
-                                    ? ts::dtw(a, b, cost)
-                                    : ts::dtw_banded(a, b, band, cost);
-      EXPECT_FALSE(got.abandoned);
-      EXPECT_EQ(got.distance, ref.distance) << "band=" << band;
-      EXPECT_EQ(got.path_cells, ref.path.size()) << "band=" << band;
+  // Prefixes of the two Z-images: length 1 is the single-cell matrix, and
+  // at lengths 2 and 3 most bands reach past the matrix edge.
+  for (const std::size_t len : {1ul, 2ul, 3ul, 50ul}) {
+    const std::span<const double> a(za.data(), len);
+    const std::span<const double> b(zb.data(), len);
+    for (const ts::LocalCost cost :
+         {ts::LocalCost::kSquared, ts::LocalCost::kAbsolute}) {
+      // Bands 0 and >= len-1 sweep the full matrix and must match plain
+      // dtw(); narrower ones must match dtw_banded().
+      for (const std::size_t band :
+           {0ul, 1ul, 2ul, 3ul, 5ul, 8ul, 32ul, len - 1, len + 10}) {
+        const ts::BandedDistance got =
+            ts::banded_dtw_distance(a, b, band, cost, kInf, workspace);
+        const ts::DtwResult ref = (band == 0 || band >= len - 1)
+                                      ? ts::dtw(a, b, cost)
+                                      : ts::dtw_banded(a, b, band, cost);
+        EXPECT_FALSE(got.abandoned);
+        EXPECT_EQ(got.distance, ref.distance)
+            << "len=" << len << " band=" << band;
+        EXPECT_EQ(got.path_cells, ref.path.size())
+            << "len=" << len << " band=" << band;
+      }
     }
   }
 }
@@ -212,8 +219,8 @@ TEST(LowerBound, EarlyAbandonIsSound) {
         EXPECT_GT(full.distance, low);
       }
       // A ceiling at/above the true distance can never abandon: every
-      // pair of consecutive anti-diagonals contains an optimal-path
-      // prefix cell, whose cost is at most the final distance.
+      // row contains an optimal-path prefix cell, whose cost is at most
+      // the final distance.
       const ts::BandedDistance high = ts::banded_dtw_distance(
           a, b, band, ts::LocalCost::kSquared, full.distance, workspace);
       EXPECT_FALSE(high.abandoned);

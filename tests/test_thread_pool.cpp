@@ -120,7 +120,9 @@ TEST(ThreadPoolStats, CountsDispatchedJobsAndTasks) {
 
   std::atomic<std::size_t> total{0};
   const auto work = [&](std::size_t, std::size_t) {
-    for (volatile int spin = 0; spin < 500; ++spin) {
+    volatile int sink = 0;
+    for (int spin = 0; spin < 500; ++spin) {
+      sink = sink + 1;
     }
     ++total;
   };
