@@ -1,7 +1,7 @@
 // A small reusable thread pool with a parallel_for primitive.
 //
 // The comparison phase is embarrassingly parallel — a full confirmation
-// round over 80 neighbours is 3160 independent FastDTW calls — so all the
+// round over 80 neighbours is 3160 independent DTW comparisons — so all the
 // engine needs is a fork/join loop over an index range. The pool keeps its
 // workers parked between calls (spawning threads per detection round would
 // cost more than many of the rounds themselves).

@@ -447,12 +447,9 @@ struct CascadeRecord {
 };
 
 bool cascade_supported(const ComparisonOptions& options) {
-  if (options.distance == DistanceKind::kEuclidean) return false;
-  // FastDTW with no band never constrains its window to contain the
-  // diagonal, so the staircase upper bound would not be admissible.
-  if (options.distance == DistanceKind::kFastDtw && options.dtw_band == 0) {
-    return false;
-  }
+  // The kernel that settles a pair is exact banded DTW: any other distance
+  // would need a second solve on top of it.
+  if (options.distance != DistanceKind::kExactDtw) return false;
   // kNone alignment can produce unequal lengths; the bounds and the
   // banded kernel are equal-length constructions.
   if (options.alignment == ComparisonOptions::Alignment::kNone) return false;
@@ -475,49 +472,13 @@ double ub_per_step(double acc, std::size_t len,
   return options.length_normalize ? acc / static_cast<double>(len) : acc;
 }
 
-// Result of the banded DTW kernel run against a per-step discard
-// threshold.
+// Result of one banded DTW kernel run: the pair's exact per-step distance
+// when the run completed, otherwise a per-step lower bound (the distance
+// provably exceeds it).
 struct KernelProbe {
-  double lb = 0.0;   // refined per-step lower bound
-  double raw = 0.0;  // exact per-step distance (kExactDtw, completed)
-  bool resolved = false;
+  double value = 0.0;
+  bool resolved = false;  // the run completed (did not abandon)
 };
-
-KernelProbe kernel_probe(std::span<const double> za,
-                         std::span<const double> zb,
-                         const ComparisonOptions& options,
-                         PairScratch& scratch, double discard_above) {
-  const double steps_max = static_cast<double>(2 * za.size() - 1);
-  double abandon_acc = std::numeric_limits<double>::infinity();
-  if (std::isfinite(discard_above) && discard_above >= 0.0) {
-    // Margin on top of the caller's threshold so the post-abandon check
-    // robustly reproves the discard (1e-6 ≫ kBoundSlack).
-    abandon_acc = options.length_normalize
-                      ? discard_above * steps_max * (1.0 + 1e-6)
-                      : discard_above * (1.0 + 1e-6);
-  }
-  const ts::BandedDistance kd =
-      ts::banded_dtw_distance(za, zb, options.dtw_band, options.cost,
-                              abandon_acc, scratch.workspace);
-  KernelProbe probe;
-  if (kd.abandoned) {
-    // The banded optimum provably exceeds abandon_acc.
-    probe.lb = options.length_normalize ? abandon_acc / steps_max
-                                        : abandon_acc;
-    return probe;
-  }
-  if (options.distance == DistanceKind::kExactDtw) {
-    probe.raw = per_step(kd.distance, kd.path_cells, options);
-    probe.lb = probe.raw;
-    probe.resolved = true;
-    return probe;
-  }
-  // FastDTW's band-constrained window is a subset of the full band window,
-  // so the banded optimum lower-bounds the FastDTW accumulated cost, and
-  // its path (like any path) has at most 2L-1 cells.
-  probe.lb = options.length_normalize ? kd.distance / steps_max : kd.distance;
-  return probe;
-}
 
 // The per-round state of one cascade sweep and the per-pair operations
 // over it. Every operation takes the calling worker's scratch, so passes
@@ -531,6 +492,9 @@ struct Cascade {
   // function, same input — so a pair reusing them gets the same bits.
   std::vector<ts::SeriesSketch> sketches;
   std::vector<std::vector<double>> full_z;
+  // comparison.pair_dtw_ns, resolved once per sweep; null when
+  // observability is off, so kernel runs then read no clock.
+  obs::Histogram* kernel_ns = nullptr;
 
   const ts::Series& series_a(std::size_t k) const {
     return usable[jobs[k].first]->second;
@@ -625,27 +589,50 @@ struct Cascade {
     rec.stage = Stage::kEnvelope;
   }
 
+  // One banded DTW kernel run on Z-images, abandoning once every path
+  // provably costs more than `discard_above` per step (+inf: never).
+  KernelProbe kernel(std::span<const double> za, std::span<const double> zb,
+                     PairScratch& scratch, double discard_above) const {
+    const double steps_max = static_cast<double>(2 * za.size() - 1);
+    double abandon_acc = std::numeric_limits<double>::infinity();
+    if (std::isfinite(discard_above) && discard_above >= 0.0) {
+      // Margin on top of the caller's threshold so the post-abandon check
+      // robustly reproves the discard (1e-6 ≫ kBoundSlack).
+      abandon_acc = options.length_normalize
+                        ? discard_above * steps_max * (1.0 + 1e-6)
+                        : discard_above * (1.0 + 1e-6);
+    }
+    obs::ScopedTimer timer(kernel_ns);
+    const ts::BandedDistance kd =
+        ts::banded_dtw_distance(za, zb, options.dtw_band, options.cost,
+                                abandon_acc, scratch.workspace);
+    timer.stop();
+    if (kd.abandoned) {
+      // The banded optimum provably exceeds abandon_acc.
+      return {options.length_normalize ? abandon_acc / steps_max
+                                       : abandon_acc,
+              false};
+    }
+    return {per_step(kd.distance, kd.path_cells, options), true};
+  }
+
   // Runs the banded kernel on pair k against a per-step discard threshold.
-  // When the probe does not settle the pair itself (exact DTW resolves in
-  // the kernel), it tightens rec.lb and asks `spared` whether that bound
-  // already decides what the caller needs; if not, the pair pays the
-  // exact FastDTW solve on the same Z-images. Either way the pair ends at
-  // stage kKernel (spared) or kFull (rec.raw exact).
+  // A completed run is the pair's exact distance. An abandoned one tightens
+  // rec.lb, and `spared` says whether that bound already decides what the
+  // caller needs; if not, the kernel runs again without abandoning. Either
+  // way the pair ends at stage kKernel (spared) or kFull (rec.raw exact).
   template <typename Spared>
   void probe(std::size_t k, CascadeRecord& rec, PairScratch& scratch,
              double discard_above, Spared&& spared) const {
     const auto [za, zb] = z_images(k, rec, scratch);
-    const KernelProbe kp =
-        kernel_probe(za, zb, options, scratch, discard_above);
+    KernelProbe kp = kernel(za, zb, scratch, discard_above);
     rec.stage = std::max(rec.stage, Stage::kKernel);
-    if (kp.resolved) {
-      rec.raw = kp.raw;
-      rec.stage = Stage::kFull;
-      return;
+    if (!kp.resolved) {
+      rec.lb = std::max(rec.lb, kp.value);
+      if (spared()) return;
+      kp = kernel(za, zb, scratch, std::numeric_limits<double>::infinity());
     }
-    rec.lb = std::max(rec.lb, kp.lb);
-    if (spared()) return;
-    rec.raw = fast_dtw_distance(za, zb, options, scratch);
+    rec.raw = kp.value;
     rec.stage = Stage::kFull;
   }
 
@@ -698,7 +685,10 @@ std::vector<PairDistance> compare_series_pruned(
                   .usable = usable,
                   .jobs = jobs,
                   .sketches = std::vector<ts::SeriesSketch>(usable.size()),
-                  .full_z = std::vector<std::vector<double>>(usable.size())};
+                  .full_z = std::vector<std::vector<double>>(usable.size()),
+                  .kernel_ns = obs::enabled() ? &obs::registry().histogram(
+                                                    "comparison.pair_dtw_ns")
+                                              : nullptr};
   // Whole-series sketches, once per series: a fleet-sized neighbourhood
   // would otherwise sketch every series N-1 times.
   parallel_for(threads, usable.size(), [&](std::size_t, std::size_t i) {
@@ -742,6 +732,9 @@ std::vector<PairDistance> compare_series_pruned(
   bool degenerate = false;
 
   if (minmax) {
+    obs::ScopedTimer minmax_timer(
+        obs::enabled() ? &obs::registry().histogram("comparison.minmax_ns")
+                       : nullptr);
     // Eq. 8 needs the EXACT population min and max of the raw distances.
     // UCR-style best-so-far searches locate them, skipping any pair whose
     // bound proves it cannot move the extreme — skipped pairs provably do

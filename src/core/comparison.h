@@ -1,7 +1,9 @@
 // Voiceprint's comparison phase (Section IV-C-2):
 //   1. per-series enhanced Z-score normalisation (Eq. 7), which erases the
 //      constant dBm offset a power-spoofing attacker adds per identity;
-//   2. pairwise FastDTW distance between every two heard series;
+//   2. pairwise DTW distance between every two heard series — exact
+//      DTW in a Sakoe–Chiba band by default, where the paper uses FastDTW
+//      (EXPERIMENTS.md explains the departure; kFastDtw selects it);
 //   3. min–max normalisation of the distance set into [0, 1] (Eq. 8).
 #pragma once
 
@@ -36,13 +38,17 @@ struct PairDistance {
 };
 
 enum class DistanceKind {
-  kFastDtw,    // the paper's choice
-  kExactDtw,   // O(N²) reference
+  // The paper's choice: multi-resolution approximation, O(N·radius).
+  kFastDtw,
+  // Exact DTW inside the Sakoe–Chiba band: O(N·band), O(N²) only when
+  // dtw_band is 0. The shipped distance, and the kernel the cascade
+  // settles pairs with.
+  kExactDtw,
   kEuclidean,  // point-to-point; series are length-matched by resampling
 };
 
 struct ComparisonOptions {
-  DistanceKind distance = DistanceKind::kFastDtw;
+  DistanceKind distance = DistanceKind::kExactDtw;
   std::size_t fastdtw_radius = 1;
   // Sakoe–Chiba half-width in samples (0 = unconstrained). Beacon series
   // are time-synchronised — the environment changes hit every identity of
@@ -124,10 +130,10 @@ struct CascadeStats {
   std::uint64_t lb_kim_pruned = 0;   // decided from the Phase-A sketch
                                      // bounds alone (LB_Kim + diagonal UB)
   std::uint64_t lb_keogh_pruned = 0; // needed the Sakoe–Chiba envelopes
-  std::uint64_t early_abandoned = 0; // entered the DTW recurrence but the
-                                     // banded bound pruned it before a
-                                     // full solve (abandoned or completed)
-  std::uint64_t full_sweeps = 0;     // paid the exact distance
+  std::uint64_t early_abandoned = 0; // the banded kernel abandoned, and
+                                     // its bound settled the pair
+  std::uint64_t full_sweeps = 0;     // paid the exact distance (a kernel
+                                     // run that completed)
 };
 
 using NamedSeries = std::pair<IdentityId, ts::Series>;
@@ -138,7 +144,8 @@ using NamedSeries = std::pair<IdentityId, ts::Series>;
 // usable series the result is empty. The detector runs
 // compare_series_pruned; this sweep is its test oracle, feeds Fig. 10
 // threshold training (compare_window) and the cascade's own fallback, and
-// supplies the distances that output prints as measurements.
+// supplies the distances that output prints as measurements. It is also
+// the only sweep that runs FastDTW or Euclidean distances.
 std::vector<PairDistance> compare_series(std::span<const NamedSeries> series,
                                          const ComparisonOptions& options = {});
 
@@ -159,10 +166,12 @@ std::vector<PairDistance> compare_series(std::span<const NamedSeries> series,
 //     `raw` and `normalized`; pairs decided from bounds carry the proving
 //     bound in those fields instead (see PairDistance::flagged).
 //
-// Falls back to compare_series (tallying every comparable pair as a full
-// sweep) for option combinations outside the cascade's reach: Euclidean
-// distance, kNone alignment (unequal lengths), disabled Z-scoring, or
-// FastDTW with an unconstrained band (no admissible-diagonal upper bound).
+// The cascade's last tier is the banded DTW kernel itself: a run that
+// completes is the exact distance, one that abandons is a bound. So only
+// exact DTW runs the cascade. Every other option combination falls back to
+// compare_series, tallying every comparable pair as a full sweep: FastDTW
+// (at any band) and Euclidean distances, kNone alignment (unequal
+// lengths), and disabled Z-scoring.
 std::vector<PairDistance> compare_series_pruned(
     std::span<const NamedSeries> series, const ComparisonOptions& options,
     double decision_threshold, CascadeStats* stats = nullptr);

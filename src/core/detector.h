@@ -1,6 +1,7 @@
 // The Voiceprint detector — Algorithm 1 of the paper, end to end:
 // Z-score the RSSI series heard in the observation window, measure all
-// pairwise FastDTW distances, min–max normalise them, and flag every pair
+// pairwise DTW distances (exact, Sakoe–Chiba band 2, where the paper uses
+// FastDTW), min–max normalise them, and flag every pair
 // whose distance falls at or under the density-dependent threshold
 // k·den + b. The union of flagged pairs' identities is the suspect set.
 // The threshold is known before any distance is measured, so the sweep is
@@ -41,7 +42,7 @@ struct VoiceprintOptions {
 // budget 5%) — the analogue of the paper's trained (k = 0.00054,
 // b = 0.0483) on its NS-2 setup. Use these for simulation experiments;
 // retrain with bench/fig10_lda_training when the scenario changes.
-// `threads` feeds ComparisonOptions::threads (the pairwise FastDTW sweep;
+// `threads` feeds ComparisonOptions::threads (the pairwise DTW sweep;
 // 1 = serial, 0 = all hardware threads) and never changes the results.
 VoiceprintOptions tuned_simulation_options(std::size_t threads = 1);
 

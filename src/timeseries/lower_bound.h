@@ -3,29 +3,26 @@
 // pruning.
 //
 // The detector's comparison sweep (core::compare_series_pruned) measures
-// the banded
-// (Fast)DTW distance between the enhanced Z-images (Eq. 7) of two aligned
-// RSSI series and classifies each pair against a threshold. Most pairs are
-// nowhere near the threshold, so a cascade of ever-tighter, ever-costlier
-// bounds can classify them without running DTW at all:
+// the banded DTW distance between the enhanced Z-images (Eq. 7) of two
+// aligned RSSI series and classifies each pair against a threshold. Most
+// pairs are nowhere near the threshold, so a cascade of ever-tighter,
+// ever-costlier bounds can classify them without running DTW at all:
 //
 //   LB_Kim   — O(1) from per-series sketches (first/last/min/max/µ/σ):
 //              corner costs plus matched-extremes costs. Valid for any
 //              warp path, banded or not.
 //   UB_diag  — O(n) cost of the main-diagonal alignment. dtw_banded's
-//              window and FastDTW's band-constrained final window both
-//              contain the diagonal staircase by construction
-//              (banded_window / constrain_to_band_into), so for
-//              equal-length series the diagonal is always an admissible
-//              path and its cost an upper bound.
+//              window contains the diagonal by construction
+//              (banded_window), so for equal-length series the diagonal
+//              is always an admissible path and its cost an upper bound.
 //   LB_Keogh — O(n·band) Sakoe–Chiba envelope bound over the Z-images,
 //              with exact corner costs folded in and maxed with LB_Kim so
 //              the cascade is monotone: LB_Kim ≤ LB_Keogh ≤ banded DTW.
 //   Kernel   — the banded DP itself, swept row by row in two rolling
 //              buffers, with early abandoning against a caller-supplied
 //              ceiling. Bit-identical in distance AND warp-path length to
-//              dtw_banded()/dtw(), so for exact DTW it is not a bound but
-//              the answer.
+//              dtw_banded()/dtw(): a run that completes is not a bound but
+//              the answer, and one that abandons is a lower bound.
 //
 // All bounds are on the *accumulated* cost (Eq. 6 scale); callers divide
 // by the appropriate path-length extreme when per-step costs are compared
@@ -102,8 +99,7 @@ double lb_keogh(std::span<const double> a, const SeriesSketch& sa,
 
 // O(n) upper bound (equal lengths only): the accumulated cost of the
 // main-diagonal alignment of the Z-images, inflated by the certified
-// z_err. Admissible for dtw_banded with any band and for fast_dtw with
-// band >= 1 (see header comment).
+// z_err. Admissible for dtw_banded with any band (see header comment).
 double diagonal_upper_bound(std::span<const double> a, const SeriesSketch& sa,
                             std::span<const double> b, const SeriesSketch& sb,
                             LocalCost cost);

@@ -15,6 +15,8 @@
 //     (compare_series, tests/detector_oracle.h) flags over random
 //     bundles, highway-simulator windows and field-test replays, at
 //     every thread count, with the exit-tier conservation law intact.
+//   * Routing — only exact DTW enters the cascade; FastDTW returns the
+//     reference sweep's pairs unchanged, each tallied as a full sweep.
 #include "timeseries/lower_bound.h"
 
 #include <gtest/gtest.h>
@@ -281,6 +283,48 @@ TEST_P(CascadeParity, PrunedVerdictsMatchExactSweep) {
                     stats.early_abandoned + stats.full_sweeps,
                 comparable);
     }
+  }
+}
+
+// The cascade settles pairs with the exact banded kernel, so it only takes
+// exact DTW, the default distance. FastDTW, banded or not, runs the
+// reference sweep: its pairs are compare_series' own, bit for bit, and
+// every comparable one is tallied as a full sweep.
+TEST_P(CascadeParity, FastDtwRunsTheReferenceSweep) {
+  EXPECT_EQ(core::ComparisonOptions{}.distance, core::DistanceKind::kExactDtw);
+  const std::size_t threads = GetParam();
+  const std::vector<core::NamedSeries> series = sybil_bundle(24, 120, 41);
+  const double threshold = 0.00054 * 50.0 + 0.0483;
+  for (const std::size_t band : {2ul, 0ul}) {
+    core::ComparisonOptions options;
+    options.distance = core::DistanceKind::kFastDtw;
+    options.dtw_band = band;
+    options.threads = threads;
+    const std::vector<core::PairDistance> reference =
+        core::compare_series(series, options);
+    core::CascadeStats stats;
+    const std::vector<core::PairDistance> pruned =
+        core::compare_series_pruned(series, options, threshold, &stats);
+    ASSERT_EQ(pruned.size(), reference.size());
+    std::size_t comparable = 0;
+    std::size_t flagged = 0;
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      EXPECT_EQ(pruned[i].a, reference[i].a);
+      EXPECT_EQ(pruned[i].b, reference[i].b);
+      EXPECT_EQ(pruned[i].comparable, reference[i].comparable);
+      EXPECT_EQ(pruned[i].raw, reference[i].raw);
+      EXPECT_EQ(pruned[i].normalized, reference[i].normalized);
+      EXPECT_EQ(pruned[i].flagged, pruned[i].normalized <= threshold);
+      comparable += pruned[i].comparable;
+      flagged += pruned[i].flagged;
+    }
+    // Not vacuous: the Sybil clique is flagged, the rest is not.
+    EXPECT_GT(flagged, 0u);
+    EXPECT_LT(flagged, comparable);
+    EXPECT_EQ(stats.full_sweeps, comparable);
+    EXPECT_EQ(stats.lb_kim_pruned + stats.lb_keogh_pruned +
+                  stats.early_abandoned,
+              0u);
   }
 }
 
