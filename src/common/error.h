@@ -8,6 +8,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace vp {
 
@@ -34,6 +35,14 @@ class InternalError : public Error {
  public:
   explicit InternalError(const std::string& what) : Error(what) {}
 };
+
+// Reports a failure a caller can recover from, for functions that return
+// bool with a one-line reason: stores `reason` in *error (if non-null)
+// and returns false, so a check reads `return fail(error, "...")`.
+inline bool fail(std::string* error, std::string reason) {
+  if (error != nullptr) *error = std::move(reason);
+  return false;
+}
 
 namespace detail {
 [[noreturn]] inline void throw_precondition(const char* cond, const char* file,

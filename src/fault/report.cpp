@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "common/error.h"
 #include "common/thread_pool.h"
 
 namespace vp::fault {
@@ -11,20 +12,7 @@ namespace {
 using obs::json::Array;
 using obs::json::Object;
 using obs::json::Value;
-
-bool fail(std::string* error, const std::string& message) {
-  if (error != nullptr) *error = message;
-  return false;
-}
-
-bool require_number(const Value& object, const char* key,
-                    const std::string& where, std::string* error) {
-  const Value* v = object.find(key);
-  if (v == nullptr || !v->is_number()) {
-    return fail(error, where + ": missing or non-numeric \"" + key + "\"");
-  }
-  return true;
-}
+using obs::json::require_number;
 
 double num(const Value& object, const char* key) {
   return object.find(key)->as_number();

@@ -1,40 +1,28 @@
 #include "fusion/checkpoint.h"
 
 #include <bit>
-#include <cstdio>
 #include <utility>
 
 #include "common/binio.h"
+#include "common/error.h"
 #include "common/rng.h"
 
 namespace vp::fusion {
 
 namespace {
 
-constexpr std::uint32_t kMagic = 0x55465056u;  // "VPFU" little-endian
-constexpr std::uint32_t kVersion = 1;
+constexpr ImageFormat kFormat{"fusion checkpoint", "VPFU", 1, 1};
 
-bool fail(std::string* error, std::string reason) {
-  if (error != nullptr) *error = std::move(reason);
-  return false;
-}
-
-void encode_stats(ByteWriter& w, const FusionEngine::Stats& s) {
-  w.put_u64(s.rounds_delivered);
-  w.put_u64(s.rounds_fused);
-  w.put_u64(s.rounds_expired);
-  w.put_u64(s.epochs_closed);
-  w.put_u64(s.votes_cast);
-  w.put_u64(s.verdicts_fused);
-  w.put_u64(s.accusations_fused);
-}
-
-bool decode_stats(ByteReader& r, FusionEngine::Stats& s) {
-  return r.get_u64(s.rounds_delivered) && r.get_u64(s.rounds_fused) &&
-         r.get_u64(s.rounds_expired) && r.get_u64(s.epochs_closed) &&
-         r.get_u64(s.votes_cast) && r.get_u64(s.verdicts_fused) &&
-         r.get_u64(s.accusations_fused);
-}
+using Stats = FusionEngine::Stats;
+constexpr StatsField<Stats> kStatsFields[] = {
+    {&Stats::rounds_delivered, 1},
+    {&Stats::rounds_fused, 1},
+    {&Stats::rounds_expired, 1},
+    {&Stats::epochs_closed, 1},
+    {&Stats::votes_cast, 1},
+    {&Stats::verdicts_fused, 1},
+    {&Stats::accusations_fused, 1},
+};
 
 void encode_trust(ByteWriter& w, const std::map<std::uint64_t, double>& t) {
   w.put_u64(t.size());
@@ -102,12 +90,11 @@ std::vector<std::uint8_t> encode_checkpoint(
     const FusionCheckpoint& checkpoint) {
   std::vector<std::uint8_t> bytes;
   ByteWriter w(bytes);
-  w.put_u32(kMagic);
-  w.put_u32(kVersion);
+  put_image_header(w, kFormat);
   w.put_u64(checkpoint.config_hash);
   w.put_f64(checkpoint.watermark);
   w.put_i64(checkpoint.closed_before);
-  encode_stats(w, checkpoint.stats);
+  put_stats(w, checkpoint.stats, kStatsFields);
   encode_trust(w, checkpoint.identity_trust);
   encode_trust(w, checkpoint.observer_trust);
   w.put_u64(checkpoint.epochs.size());
@@ -124,38 +111,20 @@ std::vector<std::uint8_t> encode_checkpoint(
       w.put_f64(vc.time_s);
     }
   }
-  w.put_u64(fnv1a64(bytes));
+  put_image_trailer(bytes);
   return bytes;
 }
 
 bool decode_checkpoint(std::span<const std::uint8_t> bytes,
                        FusionCheckpoint* out, std::string* error) {
-  if (bytes.size() < 8 + 8) {
-    return fail(error, "fusion checkpoint: truncated header");
-  }
-  std::uint64_t stored_sum = 0;
-  for (int i = 7; i >= 0; --i) {
-    stored_sum = (stored_sum << 8) |
-                 bytes[bytes.size() - 8 + static_cast<std::size_t>(i)];
-  }
-  const auto body = bytes.subspan(0, bytes.size() - 8);
-  if (fnv1a64(body) != stored_sum) {
-    return fail(error, "fusion checkpoint: checksum mismatch");
-  }
-
-  ByteReader r(body);
-  std::uint32_t magic = 0;
+  ByteReader r;
   std::uint32_t version = 0;
-  if (!r.get_u32(magic) || magic != kMagic) {
-    return fail(error, "fusion checkpoint: bad magic (not VPFU)");
-  }
-  if (!r.get_u32(version) || version != kVersion) {
-    return fail(error, "fusion checkpoint: unsupported version");
-  }
+  if (!open_image(bytes, kFormat, r, version, error)) return false;
 
   FusionCheckpoint cp;
   if (!r.get_u64(cp.config_hash) || !r.get_f64(cp.watermark) ||
-      !r.get_i64(cp.closed_before) || !decode_stats(r, cp.stats)) {
+      !r.get_i64(cp.closed_before) ||
+      !get_stats(r, version, cp.stats, kStatsFields)) {
     return fail(error, "fusion checkpoint: truncated engine fields");
   }
   if (!decode_trust(r, "identity trust", cp.identity_trust, error) ||
@@ -230,46 +199,6 @@ bool decode_checkpoint(std::span<const std::uint8_t> bytes,
   }
   if (out != nullptr) *out = std::move(cp);
   return true;
-}
-
-bool save_checkpoint(const FusionCheckpoint& checkpoint,
-                     const std::string& path, std::string* error) {
-  const std::vector<std::uint8_t> bytes = encode_checkpoint(checkpoint);
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return fail(error, "fusion checkpoint: cannot open " + tmp);
-  }
-  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  if (std::fclose(f) != 0 || written != bytes.size() || !flushed) {
-    std::remove(tmp.c_str());
-    return fail(error, "fusion checkpoint: short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return fail(error,
-                "fusion checkpoint: cannot rename " + tmp + " over " + path);
-  }
-  return true;
-}
-
-bool load_checkpoint(const std::string& path, FusionCheckpoint* out,
-                     std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return fail(error, "fusion checkpoint: cannot open " + path);
-  }
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t chunk[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    bytes.insert(bytes.end(), chunk, chunk + n);
-  }
-  const bool read_ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!read_ok) return fail(error, "fusion checkpoint: read error on " + path);
-  return decode_checkpoint(bytes, out, error);
 }
 
 }  // namespace vp::fusion

@@ -10,11 +10,14 @@
 // trajectories are bit-identical to the uninterrupted run
 // (tests/test_fusion.cpp kill/restore parity).
 //
-// Wire format ("VPFU", version 1) mirrors the engine and service codecs:
-// fixed-order little-endian fields, doubles as IEEE-754 bit patterns,
-// strictly ascending ids within each section, and a trailing FNV-1a
-// checksum verified before any field is parsed. decode rejects malformed
-// input with a one-line reason; save is crash-safe (tmp + rename).
+// Image format "VPFU", version 1, framed as every checkpoint image is
+// (common/binio.h): after the header come config_hash, the watermark,
+// the closed-epoch frontier, the Stats counters, the identity and then
+// the observer trust store (each as a count and (id, score) pairs in
+// ascending id), and each open epoch in ascending index with its votes
+// in (identity, observer) order. Beyond the framing, decode rejects ids
+// out of order, an open epoch behind the closed frontier and trailing
+// bytes with a one-line reason.
 #pragma once
 
 #include <cstdint>
@@ -63,10 +66,5 @@ std::uint64_t fusion_config_hash(const FusionConfig& config);
 std::vector<std::uint8_t> encode_checkpoint(const FusionCheckpoint& checkpoint);
 bool decode_checkpoint(std::span<const std::uint8_t> bytes,
                        FusionCheckpoint* out, std::string* error);
-
-bool save_checkpoint(const FusionCheckpoint& checkpoint,
-                     const std::string& path, std::string* error);
-bool load_checkpoint(const std::string& path, FusionCheckpoint* out,
-                     std::string* error);
 
 }  // namespace vp::fusion

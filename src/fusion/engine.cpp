@@ -84,6 +84,15 @@ FusionEngine::FusionEngine(FusionConfig config,
                            const FusionCheckpoint& checkpoint)
     : FusionEngine(std::move(config)) {
   VP_REQUIRE(checkpoint.config_hash == fusion_config_hash(config_));
+  // TrustStore::adjust clamps every live score; a restored one must obey
+  // the same bounds (NaN fails both comparisons).
+  for (const auto* store : {&checkpoint.identity_trust,
+                            &checkpoint.observer_trust}) {
+    for (const auto& [id, score] : *store) {
+      VP_REQUIRE(score >= config_.trust.floor &&
+                 score <= config_.trust.ceiling);
+    }
+  }
   stats_ = checkpoint.stats;
   watermark_ = checkpoint.watermark;
   closed_before_ = checkpoint.closed_before;

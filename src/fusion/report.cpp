@@ -3,6 +3,7 @@
 #include <cmath>
 #include <utility>
 
+#include "common/error.h"
 #include "common/thread_pool.h"
 
 namespace vp::fusion {
@@ -12,25 +13,12 @@ namespace {
 using obs::json::Array;
 using obs::json::Object;
 using obs::json::Value;
+using obs::json::require_number;
 
 constexpr double kRateEpsilon = 1e-9;
 
 Value optional_rate(const std::optional<double>& rate) {
   return rate.has_value() ? Value(*rate) : Value(nullptr);
-}
-
-bool fail(std::string* error, const std::string& message) {
-  if (error != nullptr) *error = message;
-  return false;
-}
-
-bool require_number(const Value& object, const char* key,
-                    const std::string& where, std::string* error) {
-  const Value* v = object.find(key);
-  if (v == nullptr || !v->is_number()) {
-    return fail(error, where + ": missing or non-numeric \"" + key + "\"");
-  }
-  return true;
 }
 
 // Rates may be null (undefined: no window had the denominator) but must

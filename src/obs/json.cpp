@@ -327,4 +327,13 @@ class Parser {
 
 Value parse(std::string_view text) { return Parser(text).run(); }
 
+bool require_number(const Value& object, const char* key,
+                    const std::string& where, std::string* error) {
+  const Value* v = object.find(key);
+  if (v == nullptr || !v->is_number()) {
+    return fail(error, where + ": missing or non-numeric \"" + key + "\"");
+  }
+  return true;
+}
+
 }  // namespace vp::obs::json

@@ -75,4 +75,9 @@ Value parse(std::string_view text);
 // Appends the JSON string escape of `s` (including the quotes) to `out`.
 void escape_string(std::string_view s, std::string& out);
 
+// Validator helper: `object` has a numeric member `key`, or returns false
+// with "<where>: missing or non-numeric \"<key>\"" in *error.
+bool require_number(const Value& object, const char* key,
+                    const std::string& where, std::string* error);
+
 }  // namespace vp::obs::json

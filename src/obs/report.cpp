@@ -12,11 +12,6 @@ namespace vp::obs {
 
 namespace {
 
-bool fail(std::string* error, const std::string& what) {
-  if (error != nullptr) *error = what;
-  return false;
-}
-
 // `v` must be a non-negative whole number (counters, ns totals, ids).
 bool is_count(const json::Value& v) {
   return v.is_number() && v.as_number() >= 0.0 &&

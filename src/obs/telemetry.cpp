@@ -17,11 +17,6 @@ namespace {
 constexpr char kSchema[] = "voiceprint.telemetry/v1";
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-bool fail(std::string* error, const std::string& what) {
-  if (error != nullptr) *error = what;
-  return false;
-}
-
 // Whole number (possibly negative): counter deltas and sequence fields.
 bool is_whole(const json::Value& v) {
   return v.is_number() && std::isfinite(v.as_number()) &&
@@ -61,8 +56,9 @@ double FrameView::gauge(const std::string& name) const {
 const std::vector<ConservationLaw>& conservation_laws() {
   // Every unit offered to a stage is ingested, shed into a counted bucket,
   // or sitting in a counted buffer (the gauge terms) — nothing vanishes.
-  // The DTW tier partition only binds in pruned mode: exact comparison
-  // tallies comparable pairs but no tier counters, hence skip_if_rhs_zero.
+  // The DTW tier partition binds only where the cascade ran: the
+  // reference sweep core::compare_series, called directly, tallies
+  // comparable pairs but no tier counters, hence skip_if_rhs_zero.
   static const std::vector<ConservationLaw> laws = {
       {"conservation.stream.beacons",
        {"stream.beacons_offered"},

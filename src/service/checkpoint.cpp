@@ -1,63 +1,39 @@
 #include "service/checkpoint.h"
 
 #include <bit>
-#include <cstdio>
 #include <utility>
 
 #include "common/binio.h"
+#include "common/error.h"
 #include "common/rng.h"
 
 namespace vp::service {
 
 namespace {
 
-constexpr std::uint32_t kMagic = 0x43535056u;  // "VPSC" little-endian
-// Version 2 adds beacons_shed_conditioned (§15) after the shed_invalid
-// counter; version-1 blobs still decode with it defaulted to zero (only
-// unconditioned services could have written them).
-constexpr std::uint32_t kVersion = 2;
-constexpr std::uint32_t kMinVersion = 1;
+// Version history in service/checkpoint.h.
+constexpr ImageFormat kFormat{"service checkpoint", "VPSC", 1, 2};
 
-bool fail(std::string* error, std::string reason) {
-  if (error != nullptr) *error = std::move(reason);
-  return false;
-}
-
-void encode_stats(ByteWriter& w, const DetectionService::Stats& s) {
-  w.put_u64(s.beacons_offered);
-  w.put_u64(s.beacons_ingested);
-  w.put_u64(s.beacons_shed_session_cap);
-  w.put_u64(s.beacons_shed_rate_limited);
-  w.put_u64(s.beacons_shed_identity_cap);
-  w.put_u64(s.beacons_shed_out_of_order);
-  w.put_u64(s.beacons_shed_invalid);
-  w.put_u64(s.beacons_shed_conditioned);
-  w.put_u64(s.sessions_opened);
-  w.put_u64(s.sessions_rejected);
-  w.put_u64(s.sessions_closed);
-  w.put_u64(s.sessions_evicted_idle);
-  w.put_u64(s.rounds_prepared);
-  w.put_u64(s.rounds_executed);
-  w.put_u64(s.rounds_shed_queue_full);
-  w.put_u64(s.rounds_shed_closed);
-  w.put_u64(s.pumps);
-}
-
-bool decode_stats(ByteReader& r, std::uint32_t version,
-                  DetectionService::Stats& s) {
-  return r.get_u64(s.beacons_offered) && r.get_u64(s.beacons_ingested) &&
-         r.get_u64(s.beacons_shed_session_cap) &&
-         r.get_u64(s.beacons_shed_rate_limited) &&
-         r.get_u64(s.beacons_shed_identity_cap) &&
-         r.get_u64(s.beacons_shed_out_of_order) &&
-         r.get_u64(s.beacons_shed_invalid) &&
-         (version < 2 || r.get_u64(s.beacons_shed_conditioned)) &&
-         r.get_u64(s.sessions_opened) &&
-         r.get_u64(s.sessions_rejected) && r.get_u64(s.sessions_closed) &&
-         r.get_u64(s.sessions_evicted_idle) && r.get_u64(s.rounds_prepared) &&
-         r.get_u64(s.rounds_executed) && r.get_u64(s.rounds_shed_queue_full) &&
-         r.get_u64(s.rounds_shed_closed) && r.get_u64(s.pumps);
-}
+using Stats = DetectionService::Stats;
+constexpr StatsField<Stats> kStatsFields[] = {
+    {&Stats::beacons_offered, 1},
+    {&Stats::beacons_ingested, 1},
+    {&Stats::beacons_shed_session_cap, 1},
+    {&Stats::beacons_shed_rate_limited, 1},
+    {&Stats::beacons_shed_identity_cap, 1},
+    {&Stats::beacons_shed_out_of_order, 1},
+    {&Stats::beacons_shed_invalid, 1},
+    {&Stats::beacons_shed_conditioned, 2},
+    {&Stats::sessions_opened, 1},
+    {&Stats::sessions_rejected, 1},
+    {&Stats::sessions_closed, 1},
+    {&Stats::sessions_evicted_idle, 1},
+    {&Stats::rounds_prepared, 1},
+    {&Stats::rounds_executed, 1},
+    {&Stats::rounds_shed_queue_full, 1},
+    {&Stats::rounds_shed_closed, 1},
+    {&Stats::pumps, 1},
+};
 
 }  // namespace
 
@@ -76,11 +52,10 @@ std::vector<std::uint8_t> encode_checkpoint(
     const ServiceCheckpoint& checkpoint) {
   std::vector<std::uint8_t> bytes;
   ByteWriter w(bytes);
-  w.put_u32(kMagic);
-  w.put_u32(kVersion);
+  put_image_header(w, kFormat);
   w.put_u64(checkpoint.config_hash);
   w.put_f64(checkpoint.service_time);
-  encode_stats(w, checkpoint.stats);
+  put_stats(w, checkpoint.stats, kStatsFields);
   w.put_u64(checkpoint.sessions.size());
   for (const SessionCheckpoint& sc : checkpoint.sessions) {
     w.put_u64(sc.id);
@@ -90,39 +65,21 @@ std::vector<std::uint8_t> encode_checkpoint(
     w.put_u64(engine_blob.size());
     bytes.insert(bytes.end(), engine_blob.begin(), engine_blob.end());
   }
-  w.put_u64(fnv1a64(bytes));
+  put_image_trailer(bytes);
   return bytes;
 }
 
 bool decode_checkpoint(std::span<const std::uint8_t> bytes,
                        ServiceCheckpoint* out, std::string* error) {
-  if (bytes.size() < 8 + 8) {
-    return fail(error, "service checkpoint: truncated header");
-  }
-  std::uint64_t stored_sum = 0;
-  for (int i = 7; i >= 0; --i) {
-    stored_sum = (stored_sum << 8) |
-                 bytes[bytes.size() - 8 + static_cast<std::size_t>(i)];
-  }
-  const auto body = bytes.subspan(0, bytes.size() - 8);
-  if (fnv1a64(body) != stored_sum) {
-    return fail(error, "service checkpoint: checksum mismatch");
-  }
-
-  ByteReader r(body);
-  std::uint32_t magic = 0;
+  ByteReader r;
   std::uint32_t version = 0;
-  if (!r.get_u32(magic) || magic != kMagic) {
-    return fail(error, "service checkpoint: bad magic (not VPSC)");
-  }
-  if (!r.get_u32(version) || version < kMinVersion || version > kVersion) {
-    return fail(error, "service checkpoint: unsupported version");
-  }
+  if (!open_image(bytes, kFormat, r, version, error)) return false;
 
   ServiceCheckpoint cp;
   std::uint64_t session_count = 0;
   if (!r.get_u64(cp.config_hash) || !r.get_f64(cp.service_time) ||
-      !decode_stats(r, version, cp.stats) || !r.get_u64(session_count)) {
+      !get_stats(r, version, cp.stats, kStatsFields) ||
+      !r.get_u64(session_count)) {
     return fail(error, "service checkpoint: truncated service fields");
   }
   if (session_count > r.remaining() / (3 * 8)) {
@@ -141,18 +98,14 @@ bool decode_checkpoint(std::span<const std::uint8_t> bytes,
       return fail(error, "service checkpoint: session ids not ascending");
     }
     previous_id = sc.id;
-    if (blob_size > r.remaining()) {
+    std::span<const std::uint8_t> blob;
+    if (!r.get_bytes(blob_size, blob)) {
       return fail(error, "service checkpoint: engine blob exceeds payload");
     }
-    const auto blob = body.subspan(r.cursor(),
-                                   static_cast<std::size_t>(blob_size));
     std::string engine_error;
     if (!stream::decode_checkpoint(blob, &sc.engine, &engine_error)) {
       return fail(error, "service checkpoint: session engine: " +
                              engine_error);
-    }
-    if (!r.skip(static_cast<std::size_t>(blob_size))) {
-      return fail(error, "service checkpoint: truncated engine blob");
     }
     cp.sessions.push_back(std::move(sc));
   }
@@ -161,46 +114,6 @@ bool decode_checkpoint(std::span<const std::uint8_t> bytes,
   }
   if (out != nullptr) *out = std::move(cp);
   return true;
-}
-
-bool save_checkpoint(const ServiceCheckpoint& checkpoint,
-                     const std::string& path, std::string* error) {
-  const std::vector<std::uint8_t> bytes = encode_checkpoint(checkpoint);
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return fail(error, "service checkpoint: cannot open " + tmp);
-  }
-  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  if (std::fclose(f) != 0 || written != bytes.size() || !flushed) {
-    std::remove(tmp.c_str());
-    return fail(error, "service checkpoint: short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return fail(error,
-                "service checkpoint: cannot rename " + tmp + " over " + path);
-  }
-  return true;
-}
-
-bool load_checkpoint(const std::string& path, ServiceCheckpoint* out,
-                     std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return fail(error, "service checkpoint: cannot open " + path);
-  }
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t chunk[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    bytes.insert(bytes.end(), chunk, chunk + n);
-  }
-  const bool read_ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!read_ok) return fail(error, "service checkpoint: read error on " + path);
-  return decode_checkpoint(bytes, out, error);
 }
 
 }  // namespace vp::service

@@ -11,12 +11,14 @@
 // bit-identical to the uninterrupted one at every shard/thread count
 // (tests/test_checkpoint.cpp kill/restore parity).
 //
-// Wire format ("VPSC", version 1) mirrors the engine codec: fixed-order
-// little-endian fields, doubles as IEEE-754 bit patterns, each session's
-// engine checkpoint embedded as a length-prefixed, self-versioned VPCK
-// blob (the engine codec owns that version),
-// and a trailing FNV-1a checksum. decode rejects malformed input with a
-// one-line reason; save is crash-safe (tmp + rename).
+// Image format "VPSC", version 2, framed as every checkpoint image is
+// (common/binio.h): after the header come config_hash, the service
+// clock, the Stats counters, and each session in ascending id order —
+// its id, last-offered time, and its engine checkpoint as a
+// length-prefixed, complete VPCK image (stream/checkpoint.h owns that
+// version). Version 2 adds beacons_shed_conditioned (§15) after
+// beacons_shed_invalid; version-1 images still decode with it zero, as
+// only unconditioned services could have written them.
 #pragma once
 
 #include <cstdint>
@@ -51,10 +53,5 @@ std::uint64_t service_config_hash(const ServiceConfig& config);
 std::vector<std::uint8_t> encode_checkpoint(const ServiceCheckpoint& checkpoint);
 bool decode_checkpoint(std::span<const std::uint8_t> bytes,
                        ServiceCheckpoint* out, std::string* error);
-
-bool save_checkpoint(const ServiceCheckpoint& checkpoint,
-                     const std::string& path, std::string* error);
-bool load_checkpoint(const std::string& path, ServiceCheckpoint* out,
-                     std::string* error);
 
 }  // namespace vp::service

@@ -115,6 +115,7 @@ DetectionService::DetectionService(ServiceConfig config,
                                    const ServiceCheckpoint& checkpoint)
     : DetectionService(std::move(config)) {
   VP_REQUIRE(checkpoint.config_hash == service_config_hash(config_));
+  VP_REQUIRE(checkpoint.sessions.size() <= config_.max_sessions);
   stats_ = checkpoint.stats;
   service_time_ = checkpoint.service_time;
   for (const SessionCheckpoint& sc : checkpoint.sessions) {

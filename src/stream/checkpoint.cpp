@@ -2,77 +2,47 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <limits>
 #include <utility>
 
 #include "cond/conditioner.h"
 
 #include "common/binio.h"
+#include "common/error.h"
 #include "common/rng.h"
 
 namespace vp::stream {
 
 namespace {
 
-constexpr std::uint32_t kMagic = 0x4b435056u;  // "VPCK" little-endian
-// Version 2 adds next_round_id after the admission bucket; version 3
-// adds the §15 conditioning state (cond_* stats counters and the
-// per-identity Hampel window + EMA register). Versions 1 and 2 still
-// decode, with the newer fields defaulted (next_round_id from
-// stats.rounds on v1; empty conditioning state on v1/v2).
-constexpr std::uint32_t kVersion = 3;
-constexpr std::uint32_t kMinVersion = 1;
+// Version history in stream/checkpoint.h.
+constexpr ImageFormat kFormat{"checkpoint", "VPCK", 1, 3};
+
+// Wire order; the v3 conditioning counters come last so that v1/v2
+// images, which end the table at `rounds`, keep their layout.
+using Stats = StreamEngine::Stats;
+constexpr StatsField<Stats> kStatsFields[] = {
+    {&Stats::beacons_offered, 1},
+    {&Stats::beacons_ingested, 1},
+    {&Stats::beacons_shed_rate_limited, 1},
+    {&Stats::beacons_shed_identity_cap, 1},
+    {&Stats::beacons_shed_out_of_order, 1},
+    {&Stats::shed_invalid_rssi_non_finite, 1},
+    {&Stats::shed_invalid_rssi_out_of_range, 1},
+    {&Stats::shed_invalid_time_non_finite, 1},
+    {&Stats::shed_invalid_time_negative, 1},
+    {&Stats::ring_evictions, 1},
+    {&Stats::samples_expired, 1},
+    {&Stats::identities_expired, 1},
+    {&Stats::rounds, 1},
+    {&Stats::beacons_shed_conditioned, 3},
+    {&Stats::cond_offered, 3},
+    {&Stats::cond_passed, 3},
+    {&Stats::cond_clamped, 3},
+    {&Stats::cond_rejected, 3},
+};
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
-
-bool fail(std::string* error, std::string reason) {
-  if (error != nullptr) *error = std::move(reason);
-  return false;
-}
-
-void encode_stats(ByteWriter& w, const StreamEngine::Stats& s) {
-  w.put_u64(s.beacons_offered);
-  w.put_u64(s.beacons_ingested);
-  w.put_u64(s.beacons_shed_rate_limited);
-  w.put_u64(s.beacons_shed_identity_cap);
-  w.put_u64(s.beacons_shed_out_of_order);
-  w.put_u64(s.shed_invalid_rssi_non_finite);
-  w.put_u64(s.shed_invalid_rssi_out_of_range);
-  w.put_u64(s.shed_invalid_time_non_finite);
-  w.put_u64(s.shed_invalid_time_negative);
-  w.put_u64(s.ring_evictions);
-  w.put_u64(s.samples_expired);
-  w.put_u64(s.identities_expired);
-  w.put_u64(s.rounds);
-  // v3: the conditioning counters, after the v2 fields so old decoders
-  // of old blobs never see them.
-  w.put_u64(s.beacons_shed_conditioned);
-  w.put_u64(s.cond_offered);
-  w.put_u64(s.cond_passed);
-  w.put_u64(s.cond_clamped);
-  w.put_u64(s.cond_rejected);
-}
-
-bool decode_stats(ByteReader& r, std::uint32_t version,
-                  StreamEngine::Stats& s) {
-  if (!(r.get_u64(s.beacons_offered) && r.get_u64(s.beacons_ingested) &&
-        r.get_u64(s.beacons_shed_rate_limited) &&
-        r.get_u64(s.beacons_shed_identity_cap) &&
-        r.get_u64(s.beacons_shed_out_of_order) &&
-        r.get_u64(s.shed_invalid_rssi_non_finite) &&
-        r.get_u64(s.shed_invalid_rssi_out_of_range) &&
-        r.get_u64(s.shed_invalid_time_non_finite) &&
-        r.get_u64(s.shed_invalid_time_negative) &&
-        r.get_u64(s.ring_evictions) && r.get_u64(s.samples_expired) &&
-        r.get_u64(s.identities_expired) && r.get_u64(s.rounds))) {
-    return false;
-  }
-  if (version < 3) return true;  // cond counters default to zero
-  return r.get_u64(s.beacons_shed_conditioned) && r.get_u64(s.cond_offered) &&
-         r.get_u64(s.cond_passed) && r.get_u64(s.cond_clamped) &&
-         r.get_u64(s.cond_rejected);
-}
 
 }  // namespace
 
@@ -123,15 +93,14 @@ std::vector<std::uint8_t> encode_checkpoint(
     const EngineCheckpoint& checkpoint) {
   std::vector<std::uint8_t> bytes;
   ByteWriter w(bytes);
-  w.put_u32(kMagic);
-  w.put_u32(kVersion);
+  put_image_header(w, kFormat);
   w.put_u64(checkpoint.config_hash);
   w.put_f64(checkpoint.next_round_s);
   w.put_f64(checkpoint.last_round_time_s);
   w.put_i64(checkpoint.bucket_second);
   w.put_u64(checkpoint.bucket_accepted);
   w.put_u64(checkpoint.next_round_id);
-  encode_stats(w, checkpoint.stats);
+  put_stats(w, checkpoint.stats, kStatsFields);
   w.put_u64(checkpoint.identities.size());
   for (const IdentityCheckpoint& ic : checkpoint.identities) {
     w.put_u64(static_cast<std::uint64_t>(ic.id));
@@ -152,37 +121,15 @@ std::vector<std::uint8_t> encode_checkpoint(
     w.put_u8(ic.cond_ema_init ? 1 : 0);
     w.put_u32(ic.cond_reject_streak);
   }
-  // Trailer: FNV-1a over everything before it.
-  w.put_u64(fnv1a64(bytes));
+  put_image_trailer(bytes);
   return bytes;
 }
 
 bool decode_checkpoint(std::span<const std::uint8_t> bytes,
                        EngineCheckpoint* out, std::string* error) {
-  if (bytes.size() < 8 + 8) return fail(error, "checkpoint: truncated header");
-  // Verify the trailer first — no field is trusted over bit rot.
-  const std::uint64_t stored_sum =
-      [&] {
-        std::uint64_t v = 0;
-        for (int i = 7; i >= 0; --i) {
-          v = (v << 8) | bytes[bytes.size() - 8 + static_cast<std::size_t>(i)];
-        }
-        return v;
-      }();
-  const auto body = bytes.subspan(0, bytes.size() - 8);
-  if (fnv1a64(body) != stored_sum) {
-    return fail(error, "checkpoint: checksum mismatch (corrupted bytes)");
-  }
-
-  ByteReader r(body);
-  std::uint32_t magic = 0;
+  ByteReader r;
   std::uint32_t version = 0;
-  if (!r.get_u32(magic) || magic != kMagic) {
-    return fail(error, "checkpoint: bad magic (not a VPCK checkpoint)");
-  }
-  if (!r.get_u32(version) || version < kMinVersion || version > kVersion) {
-    return fail(error, "checkpoint: unsupported version");
-  }
+  if (!open_image(bytes, kFormat, r, version, error)) return false;
 
   EngineCheckpoint cp;
   std::uint64_t identity_count = 0;
@@ -194,7 +141,8 @@ bool decode_checkpoint(std::span<const std::uint8_t> bytes,
   if (version >= 2 && !r.get_u64(cp.next_round_id)) {
     return fail(error, "checkpoint: truncated engine fields");
   }
-  if (!decode_stats(r, version, cp.stats) || !r.get_u64(identity_count)) {
+  if (!get_stats(r, version, cp.stats, kStatsFields) ||
+      !r.get_u64(identity_count)) {
     return fail(error, "checkpoint: truncated engine fields");
   }
   // v1 predates round ids; every executed round was also prepared, so the
@@ -290,42 +238,6 @@ bool decode_checkpoint(std::span<const std::uint8_t> bytes,
   }
   if (out != nullptr) *out = std::move(cp);
   return true;
-}
-
-bool save_checkpoint(const EngineCheckpoint& checkpoint,
-                     const std::string& path, std::string* error) {
-  const std::vector<std::uint8_t> bytes = encode_checkpoint(checkpoint);
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return fail(error, "checkpoint: cannot open " + tmp);
-  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  if (std::fclose(f) != 0 || written != bytes.size() || !flushed) {
-    std::remove(tmp.c_str());
-    return fail(error, "checkpoint: short write to " + tmp);
-  }
-  // The previous checkpoint at `path` stays intact until this atomic step.
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return fail(error, "checkpoint: cannot rename " + tmp + " over " + path);
-  }
-  return true;
-}
-
-bool load_checkpoint(const std::string& path, EngineCheckpoint* out,
-                     std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return fail(error, "checkpoint: cannot open " + path);
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t chunk[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    bytes.insert(bytes.end(), chunk, chunk + n);
-  }
-  const bool read_ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!read_ok) return fail(error, "checkpoint: read error on " + path);
-  return decode_checkpoint(bytes, out, error);
 }
 
 }  // namespace vp::stream

@@ -13,27 +13,22 @@
 // every thread count. Enforced by tests/test_checkpoint.cpp over highway
 // and field-test traces.
 //
-// Wire format ("voiceprint checkpoint", version 3): magic "VPCK",
-// u32 version, the fields below in fixed order, doubles as IEEE-754 bit
-// patterns (common/binio.h), and a trailing FNV-1a checksum over
-// everything before it. Version 2 adds next_round_id (the causal round
+// Image format "VPCK", version 3, framed as every checkpoint image is
+// (common/binio.h): after the header come config_hash, the round and
+// admission fields, the Stats counters, and each identity in ascending
+// id order — ring capacity, samples, Welford summary, then its
+// conditioning channel. Version 2 adds next_round_id (the causal round
 // counter) after the admission bucket; version 3 adds the §15
-// conditioning state — the cond_* Stats counters after `rounds` and,
-// per identity, the Hampel window ring (oldest first) plus the EMA
-// register — so a conditioned engine killed mid-filter restores
-// bit-identically. Version-1/2 blobs still decode: next_round_id
-// defaults to stats.rounds on v1 (exact when every prepared round also
-// executed, best-effort under deferred-round shedding) and the
-// conditioning state defaults to empty on v1/v2 — correct, because
-// those versions could only have been written by unconditioned
-// engines. decode_checkpoint rejects bad magic, unknown versions,
-// truncation, trailing garbage, checksum mismatches and structurally
-// invalid contents (unsorted ring times, rings over capacity) with a
-// one-line reason — a corrupted checkpoint is a diagnosable error,
-// never UB. save_checkpoint writes crash-safely:
-// the bytes go to "<path>.tmp" and are renamed over <path> only after a
-// successful flush, so a crash mid-save leaves the previous checkpoint
-// intact.
+// conditioning state — the cond_* Stats counters after `rounds` and, per
+// identity, the Hampel window ring (oldest first) plus the EMA register
+// — so a conditioned engine killed mid-filter restores bit-identically.
+// Version-1/2 images still decode: next_round_id defaults to stats.rounds
+// on v1 (exact when every prepared round also executed, best-effort under
+// deferred-round shedding) and the conditioning state defaults to empty
+// on v1/v2 — correct, because those versions could only have been
+// written by unconditioned engines. Beyond the framing, decode_checkpoint
+// rejects trailing bytes and structurally invalid contents (unsorted ring
+// times, rings over capacity, ids out of order) with a one-line reason.
 #pragma once
 
 #include <cstdint>
@@ -84,18 +79,12 @@ struct EngineCheckpoint {
 // which never change results.
 std::uint64_t engine_config_hash(const StreamEngineConfig& config);
 
-// Serialises to the version-3 wire format described above.
+// Serialises to the version-3 image described above.
 std::vector<std::uint8_t> encode_checkpoint(const EngineCheckpoint& checkpoint);
 
 // Parses and validates; returns false with a one-line reason in `error`
 // (if non-null) on any malformation. `out` is only modified on success.
 bool decode_checkpoint(std::span<const std::uint8_t> bytes,
                        EngineCheckpoint* out, std::string* error);
-
-// Crash-safe file save (write "<path>.tmp", flush, rename) / load.
-bool save_checkpoint(const EngineCheckpoint& checkpoint,
-                     const std::string& path, std::string* error);
-bool load_checkpoint(const std::string& path, EngineCheckpoint* out,
-                     std::string* error);
 
 }  // namespace vp::stream

@@ -103,6 +103,17 @@ StreamEngine::StreamEngine(StreamEngineConfig config,
   // The checkpoint only makes sense under the geometry it was taken with;
   // a silent mismatch would produce plausible-looking wrong rounds.
   VP_REQUIRE(checkpoint.config_hash == engine_config_hash(config_));
+  // The hash is no authentication, so hold the image to the caps this
+  // config promises before any ring is built: an honest engine admits at
+  // most max_identities, builds every ring at ring_capacity, and keeps
+  // at most `window` conditioner samples (none when unconditioned).
+  VP_REQUIRE(checkpoint.identities.size() <= config_.max_identities);
+  const std::size_t cond_window =
+      config_.condition_ingest ? config_.conditioning.window : 0;
+  for (const IdentityCheckpoint& ic : checkpoint.identities) {
+    VP_REQUIRE(ic.ring.capacity == config_.ring_capacity);
+    VP_REQUIRE(ic.cond_window.size() <= cond_window);
+  }
   next_round_ = checkpoint.next_round_s;
   last_round_time_ = checkpoint.last_round_time_s;
   next_round_id_ = checkpoint.next_round_id;

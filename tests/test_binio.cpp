@@ -9,7 +9,11 @@
 // at the FNV gate, so those tests re-stamp a *correct* checksum over the
 // truncated prefix, forcing the field readers themselves to prove they
 // are bounds-checked past the integrity layer.
+//
+// Also here: the byte-level pins of the three checkpoint formats, and
+// the crash-safe save_image/load_image file path they all share.
 #include <cstdint>
+#include <filesystem>
 #include <span>
 #include <string>
 #include <vector>
@@ -226,6 +230,201 @@ TEST(CheckpointImages, FusionVpfuRejectsEveryTruncation) {
   };
   expect_all_truncations_fail(image, decode, "VPFU");
   expect_checksum_fixed_truncations_fail(image, decode, "VPFU");
+}
+
+// ------------------------------------------------------- format pins
+
+// Images built from literals, not from engines, so tuning never moves
+// the pins. Every counter is distinct and non-zero, so swapping two
+// fields changes the digest.
+stream::EngineCheckpoint pinned_engine() {
+  stream::EngineCheckpoint cp;
+  cp.config_hash = 0x0123456789abcdefULL;
+  cp.next_round_s = 40.0;
+  cp.last_round_time_s = 20.0;
+  cp.bucket_second = 29;
+  cp.bucket_accepted = 7;
+  cp.next_round_id = 2;
+  stream::StreamEngine::Stats& s = cp.stats;
+  s.beacons_offered = 101;
+  s.beacons_ingested = 102;
+  s.beacons_shed_rate_limited = 103;
+  s.beacons_shed_identity_cap = 104;
+  s.beacons_shed_out_of_order = 105;
+  s.shed_invalid_rssi_non_finite = 106;
+  s.shed_invalid_rssi_out_of_range = 107;
+  s.shed_invalid_time_non_finite = 108;
+  s.shed_invalid_time_negative = 109;
+  s.beacons_shed_conditioned = 110;
+  s.cond_offered = 111;
+  s.cond_passed = 112;
+  s.cond_clamped = 113;
+  s.cond_rejected = 114;
+  s.ring_evictions = 115;
+  s.samples_expired = 116;
+  s.identities_expired = 117;
+  s.rounds = 118;
+
+  stream::IdentityCheckpoint a;
+  a.id = 3;
+  a.last_heard_s = 19.75;
+  a.ring.capacity = 8;
+  a.ring.times = {18.5, 19.0, 19.75};
+  a.ring.values = {-61.5, -62.25, -60.0};
+  a.ring.mean = -61.25;
+  a.ring.m2 = 2.625;
+  a.cond_window = {-251904, -254976, -245760};
+  a.cond_ema_q12 = -250880;
+  a.cond_ema_init = true;
+  a.cond_reject_streak = 1;
+  stream::IdentityCheckpoint b;
+  b.id = 9;
+  b.last_heard_s = 19.5;
+  b.ring.capacity = 8;
+  b.ring.times = {19.5};
+  b.ring.values = {-70.0};
+  b.ring.mean = -70.0;
+  cp.identities = {a, b};
+  return cp;
+}
+
+service::ServiceCheckpoint pinned_service() {
+  service::ServiceCheckpoint cp;
+  cp.config_hash = 0xfedcba9876543210ULL;
+  cp.service_time = 20.0;
+  service::DetectionService::Stats& s = cp.stats;
+  s.beacons_offered = 201;
+  s.beacons_ingested = 202;
+  s.beacons_shed_session_cap = 203;
+  s.beacons_shed_rate_limited = 204;
+  s.beacons_shed_identity_cap = 205;
+  s.beacons_shed_out_of_order = 206;
+  s.beacons_shed_invalid = 207;
+  s.beacons_shed_conditioned = 208;
+  s.sessions_opened = 209;
+  s.sessions_rejected = 210;
+  s.sessions_closed = 211;
+  s.sessions_evicted_idle = 212;
+  s.rounds_prepared = 213;
+  s.rounds_executed = 214;
+  s.rounds_shed_queue_full = 215;
+  s.rounds_shed_closed = 216;
+  s.pumps = 217;
+  cp.sessions = {{4, 19.875, pinned_engine()}, {11, 19.5, pinned_engine()}};
+  return cp;
+}
+
+fusion::FusionCheckpoint pinned_fusion() {
+  fusion::FusionCheckpoint cp;
+  cp.config_hash = 0x0f1e2d3c4b5a6978ULL;
+  cp.watermark = 30.0;
+  cp.closed_before = 1;
+  fusion::FusionEngine::Stats& s = cp.stats;
+  s.rounds_delivered = 301;
+  s.rounds_fused = 302;
+  s.rounds_expired = 303;
+  s.epochs_closed = 304;
+  s.votes_cast = 305;
+  s.verdicts_fused = 306;
+  s.accusations_fused = 307;
+  cp.identity_trust = {{3, 0.75}, {9, 0.5}};
+  cp.observer_trust = {{4, 0.875}, {11, 0.25}};
+  fusion::EpochCheckpoint epoch;
+  epoch.index = 1;
+  epoch.rounds = 2;
+  epoch.max_round_id = 5;
+  epoch.votes = {{3, 4, true, 12.5, 25.0}, {3, 11, false, 11.0, 26.0}};
+  cp.epochs = {epoch};
+  return cp;
+}
+
+// The byte-level contract of VPCK v3, VPSC v2 and VPFU v1: a change that
+// moves any of these constants changes a persisted format, and must say
+// so (and bump the version) rather than update the pin silently.
+TEST(CheckpointImages, FormatsArePinned) {
+  const std::vector<std::uint8_t> engine =
+      stream::encode_checkpoint(pinned_engine());
+  const std::vector<std::uint8_t> service =
+      service::encode_checkpoint(pinned_service());
+  const std::vector<std::uint8_t> fused =
+      fusion::encode_checkpoint(pinned_fusion());
+  EXPECT_EQ(engine.size(), 442u);
+  EXPECT_EQ(fnv1a64(engine), 0x86e2dce9b0e694a6ULL);
+  EXPECT_EQ(service.size(), 1108u);
+  EXPECT_EQ(fnv1a64(service), 0xfd238a8887ca5917ULL);
+  EXPECT_EQ(fused.size(), 282u);
+  EXPECT_EQ(fnv1a64(fused), 0x65a70b8fceeb9726ULL);
+}
+
+// ------------------------------------------------- crash-safe image file
+
+TEST(ImageFile, SaveReplacesAnExistingImage) {
+  const std::string path = "test_binio_replace.img";
+  std::filesystem::remove_all(path + ".tmp");
+  const std::vector<std::uint8_t> first = {1, 2, 3};
+  const std::vector<std::uint8_t> second = {4, 5, 6, 7};
+  std::string error;
+  ASSERT_TRUE(save_image(first, path, &error)) << error;
+  ASSERT_TRUE(save_image(second, path, &error)) << error;
+  std::vector<std::uint8_t> loaded;
+  ASSERT_TRUE(load_image(path, loaded, &error)) << error;
+  EXPECT_EQ(loaded, second);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::filesystem::remove(path);
+}
+
+// A save that cannot create "<path>.tmp" fails with a reason and leaves
+// the previous image byte-identical. A directory in the temporary's
+// place forces the failure even for root, which file modes do not.
+TEST(ImageFile, FailedSaveLeavesThePreviousImageIntact) {
+  const std::string path = "test_binio_intact.img";
+  const std::string tmp = path + ".tmp";
+  std::filesystem::remove_all(tmp);
+  const std::vector<std::uint8_t> previous =
+      fusion::encode_checkpoint(pinned_fusion());
+  std::string error;
+  ASSERT_TRUE(save_image(previous, path, &error)) << error;
+  ASSERT_TRUE(std::filesystem::create_directory(tmp));
+
+  const std::vector<std::uint8_t> next(previous.size(), 0xEE);
+  EXPECT_FALSE(save_image(next, path, &error));
+  EXPECT_NE(error.find(tmp), std::string::npos) << error;
+  std::vector<std::uint8_t> loaded;
+  ASSERT_TRUE(load_image(path, loaded, &error)) << error;
+  EXPECT_EQ(loaded, previous);
+  EXPECT_TRUE(std::filesystem::is_directory(tmp));  // not the save's to remove
+
+  std::filesystem::remove_all(tmp);
+  std::filesystem::remove(path);
+}
+
+TEST(ImageFile, LoadOfMissingPathFails) {
+  const std::string path = "test_binio_missing.img";
+  std::filesystem::remove(path);
+  std::vector<std::uint8_t> out = {9};
+  std::string error;
+  EXPECT_FALSE(load_image(path, out, &error));
+  EXPECT_NE(error.find(path), std::string::npos) << error;
+  EXPECT_EQ(out, std::vector<std::uint8_t>{9});  // untouched on failure
+}
+
+TEST(ImageFile, FusionImageRoundTripsThroughAFile) {
+  const fusion::FusionCheckpoint original = pinned_fusion();
+  const std::vector<std::uint8_t> image = fusion::encode_checkpoint(original);
+  const std::string path = "test_binio_roundtrip.vpfu";
+  std::string error;
+  ASSERT_TRUE(save_image(image, path, &error)) << error;
+  std::vector<std::uint8_t> loaded;
+  ASSERT_TRUE(load_image(path, loaded, &error)) << error;
+  EXPECT_EQ(loaded, image);
+  fusion::FusionCheckpoint decoded;
+  ASSERT_TRUE(fusion::decode_checkpoint(loaded, &decoded, &error)) << error;
+  EXPECT_EQ(decoded.identity_trust, original.identity_trust);
+  EXPECT_EQ(decoded.observer_trust, original.observer_trust);
+  ASSERT_EQ(decoded.epochs.size(), 1u);
+  EXPECT_EQ(decoded.epochs[0].votes.size(), 2u);
+  EXPECT_EQ(fusion::encode_checkpoint(decoded), image);
+  std::filesystem::remove(path);
 }
 
 // ------------------------------------------------------------ VPWB frame

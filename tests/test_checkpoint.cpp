@@ -2,7 +2,8 @@
 //   * Codec — encode/decode is an exact roundtrip; every corruption
 //     (truncation, bit flips, bad magic/version, trailing garbage,
 //     structurally invalid contents) is rejected with a reason, and the
-//     restore constructors refuse a configuration-hash mismatch.
+//     restore constructors refuse a configuration-hash mismatch and any
+//     image over the caps its configuration promises.
 //   * Restore parity — an engine checkpointed after any beacon and
 //     restored emits bit-identical rounds (suspects AND pair distances)
 //     to the uninterrupted engine, over highway and field-test traces,
@@ -373,6 +374,81 @@ TEST(CheckpointCodec, RestoreRefusesMismatchedConfig) {
   EXPECT_THROW(StreamEngine(other, cp), PreconditionError);
 }
 
+// The FNV trailer and the config hash are no authentication: a forged
+// image can be well framed, carry the right hash, and still claim more
+// than its config allows. Decode accepts such an image; restore must
+// refuse it before it builds a ring.
+template <typename Checkpoint>
+Checkpoint through_bytes(const Checkpoint& cp) {
+  Checkpoint decoded;
+  std::string error;
+  EXPECT_TRUE(decode_checkpoint(encode_checkpoint(cp), &decoded, &error))
+      << error;
+  return decoded;
+}
+
+TEST(CheckpointCodec, RestoreRefusesIdentitiesOverCap) {
+  StreamEngineConfig config;
+  config.ring_capacity = 8;
+  config.max_identities = 2;
+  StreamEngine engine(config);
+  engine.ingest(1, 1.0, -70.0);
+  engine.ingest(2, 1.5, -72.0);
+  EngineCheckpoint cp = engine.checkpoint();
+  ASSERT_EQ(cp.identities.size(), 2u);
+  EXPECT_NO_THROW(StreamEngine(config, through_bytes(cp)));  // at the cap
+
+  for (IdentityId id : {3u, 4u}) {
+    IdentityCheckpoint extra = cp.identities.back();
+    extra.id = id;
+    cp.identities.push_back(extra);
+  }
+  EXPECT_THROW(StreamEngine(config, through_bytes(cp)), PreconditionError);
+}
+
+TEST(CheckpointCodec, RestoreRefusesForeignRingCapacity) {
+  StreamEngineConfig config;
+  config.ring_capacity = 8;
+  StreamEngine engine(config);
+  engine.ingest(1, 1.0, -70.0);
+  const EngineCheckpoint cp = engine.checkpoint();
+  ASSERT_EQ(cp.identities.size(), 1u);
+  EXPECT_NO_THROW(StreamEngine(config, through_bytes(cp)));
+
+  for (std::size_t capacity : {std::size_t{4}, std::size_t{16}}) {
+    EngineCheckpoint forged = cp;
+    forged.identities[0].ring.capacity = capacity;
+    EXPECT_THROW(StreamEngine(config, through_bytes(forged)),
+                 PreconditionError)
+        << "capacity " << capacity;
+  }
+}
+
+TEST(CheckpointCodec, RestoreRefusesConditionerWindowOverConfig) {
+  StreamEngineConfig config;
+  config.condition_ingest = true;
+  StreamEngine engine(config);
+  engine.ingest(1, 1.0, -70.0);
+  EngineCheckpoint cp = engine.checkpoint();
+  ASSERT_EQ(cp.identities.size(), 1u);
+  cp.identities[0].cond_window.assign(config.conditioning.window, 0);
+  EXPECT_NO_THROW(StreamEngine(config, through_bytes(cp)));  // a full window
+
+  cp.identities[0].cond_window.push_back(0);
+  ASSERT_LE(cp.identities[0].cond_window.size(), cond::kMaxWindow);
+  EXPECT_THROW(StreamEngine(config, through_bytes(cp)), PreconditionError);
+
+  // An unconditioned engine keeps no conditioner window at all.
+  StreamEngineConfig plain;
+  StreamEngine plain_engine(plain);
+  plain_engine.ingest(1, 1.0, -70.0);
+  EngineCheckpoint unconditioned = plain_engine.checkpoint();
+  ASSERT_EQ(unconditioned.identities.size(), 1u);
+  unconditioned.identities[0].cond_window = {0};
+  EXPECT_THROW(StreamEngine(plain, through_bytes(unconditioned)),
+               PreconditionError);
+}
+
 // --- Conditioning state (VPCK v3) ---------------------------------------
 
 // A conditioned engine's checkpoint carries the full §15 filter state —
@@ -521,12 +597,14 @@ TEST(CheckpointCodec, SaveLoadFileRoundTrip) {
   const EngineCheckpoint original = sample_checkpoint();
   const std::string path = "test_checkpoint_roundtrip.vpck";
   std::string error;
-  ASSERT_TRUE(save_checkpoint(original, path, &error)) << error;
+  ASSERT_TRUE(save_image(encode_checkpoint(original), path, &error)) << error;
+  std::vector<std::uint8_t> bytes;
   EngineCheckpoint loaded;
-  ASSERT_TRUE(load_checkpoint(path, &loaded, &error)) << error;
+  ASSERT_TRUE(load_image(path, bytes, &error)) << error;
+  ASSERT_TRUE(decode_checkpoint(bytes, &loaded, &error)) << error;
   EXPECT_EQ(encode_checkpoint(loaded), encode_checkpoint(original));
   std::remove(path.c_str());
-  EXPECT_FALSE(load_checkpoint(path, &loaded, &error));  // gone
+  EXPECT_FALSE(load_image(path, bytes, &error));  // gone
 }
 
 }  // namespace
@@ -691,11 +769,35 @@ TEST(ServiceCheckpoint, SaveLoadFileRoundTrip) {
   const ServiceCheckpoint cp = fleet.checkpoint();
   const std::string path = "test_service_checkpoint_roundtrip.vpsc";
   std::string error;
-  ASSERT_TRUE(save_checkpoint(cp, path, &error)) << error;
+  ASSERT_TRUE(save_image(encode_checkpoint(cp), path, &error)) << error;
+  std::vector<std::uint8_t> bytes;
   ServiceCheckpoint loaded;
-  ASSERT_TRUE(load_checkpoint(path, &loaded, &error)) << error;
+  ASSERT_TRUE(load_image(path, bytes, &error)) << error;
+  ASSERT_TRUE(decode_checkpoint(bytes, &loaded, &error)) << error;
   EXPECT_EQ(encode_checkpoint(loaded), encode_checkpoint(cp));
   std::remove(path.c_str());
+}
+
+// A forged VPSC image past max_sessions must not restore: admission
+// would never have opened that many.
+TEST(ServiceCheckpoint, RestoreRefusesSessionsOverCap) {
+  ServiceConfig config;
+  config.max_sessions = 2;
+  stream::StreamEngine engine(config.engine);
+  engine.ingest(1, 1.0, -70.0);
+  ServiceCheckpoint cp;
+  cp.config_hash = service_config_hash(config);
+  for (SessionId id = 1; id <= 2; ++id) {
+    cp.sessions.push_back({id, 1.0, engine.checkpoint()});
+  }
+  // At the cap: restores.
+  EXPECT_NO_THROW(DetectionService(config, stream::through_bytes(cp)));
+
+  for (SessionId id = 3; id <= 6; ++id) {
+    cp.sessions.push_back({id, 1.0, engine.checkpoint()});
+  }
+  EXPECT_THROW(DetectionService(config, stream::through_bytes(cp)),
+               PreconditionError);
 }
 
 }  // namespace

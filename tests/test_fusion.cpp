@@ -11,7 +11,8 @@
 //     rounds_pending after every observe/advance, including late rounds
 //     for already-closed epochs.
 //   * Codec — VPFU encode/decode is an exact roundtrip; corruptions are
-//     rejected with a reason; restore refuses a config-hash mismatch.
+//     rejected with a reason; restore refuses a config-hash mismatch and
+//     trust scores outside [floor, ceiling].
 //   * Report — build_fusion_bench_report validates clean and the
 //     validator rejects a broken conservation law, out-of-range trust and
 //     a fused/single rate inversion on a multi-observer row.
@@ -20,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -533,6 +535,40 @@ TEST(FusionCheckpointCodec, RejectsCorruption) {
   FusionConfig other;
   other.quorum_fraction = 0.75;
   EXPECT_THROW(FusionEngine(other, cp), PreconditionError);
+}
+
+// TrustStore::adjust clamps every live score into [floor, ceiling]; a
+// forged VPFU image with the right config hash must not restore one
+// outside it, in either store.
+TEST(FusionCheckpointCodec, RestoreRefusesTrustOutsideBounds) {
+  const FusionConfig config;
+  FusionCheckpoint cp;
+  cp.config_hash = fusion_config_hash(config);
+  cp.identity_trust = {{7, config.trust.floor}, {8, config.trust.ceiling}};
+  cp.observer_trust = {{1, config.trust.initial}};
+  const auto through_bytes = [](const FusionCheckpoint& forged) {
+    FusionCheckpoint decoded;
+    std::string error;
+    EXPECT_TRUE(decode_checkpoint(encode_checkpoint(forged), &decoded, &error))
+        << error;
+    return decoded;
+  };
+  EXPECT_NO_THROW(FusionEngine(config, through_bytes(cp)));  // the bounds
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double score : {nan, inf, -0.25, 5.0}) {
+    FusionCheckpoint forged = cp;
+    forged.identity_trust[9] = score;
+    EXPECT_THROW(FusionEngine(config, through_bytes(forged)),
+                 PreconditionError)
+        << "identity trust " << score;
+    forged = cp;
+    forged.observer_trust[2] = score;
+    EXPECT_THROW(FusionEngine(config, through_bytes(forged)),
+                 PreconditionError)
+        << "observer trust " << score;
+  }
 }
 
 obs::json::Value sample_report() {

@@ -17,8 +17,9 @@
 // --require names a counter that must be present with a positive value
 // (how smoke.sh asserts the stream.* pipeline actually ran). With
 // --chaos-bench, the file must pass fault::validate_chaos_bench
-// (voiceprint.chaos_bench/v1, including the injector and serving-stack
-// conservation laws and the per-run divergence ceilings); with
+// (voiceprint.chaos_bench/v2, including the injector, serving-stack and
+// conditioning conservation laws, the per-run divergence ceilings and
+// the conditioning gates); with
 // --fusion-bench, fusion::validate_fusion_bench
 // (voiceprint.fusion_bench/v1, including the round conservation law
 // rounds_delivered = fused + expired + pending, trust bounds in [0, 1],
