@@ -7,19 +7,6 @@
 
 namespace vp {
 
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
 double RunningStats::mean() const {
   VP_REQUIRE(n_ > 0);
   return mean_;

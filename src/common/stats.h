@@ -3,6 +3,7 @@
 // statistical test needs.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -12,7 +13,22 @@ namespace vp {
 // Single-pass accumulator for mean/variance (Welford's algorithm).
 class RunningStats {
  public:
-  void add(double x);
+  // Inline: the Eq. 7 and shape passes call it once per sample, and a
+  // call would cost as much as the update. The tree builds with
+  // -ffp-contract=off, so inlining cannot fuse (and so re-round) the
+  // multiply-adds: every caller gets the same bits.
+  void add(double x) {
+    if (n_ == 0) {
+      min_ = max_ = x;
+    } else {
+      min_ = std::min(min_, x);
+      max_ = std::max(max_, x);
+    }
+    ++n_;
+    const double delta = x - mean_;
+    mean_ += delta / static_cast<double>(n_);
+    m2_ += delta * (x - mean_);
+  }
 
   std::size_t count() const { return n_; }
   bool empty() const { return n_ == 0; }

@@ -29,6 +29,9 @@ struct PairScratch {
   ts::DtwResult result;
   std::vector<double> va, vb;  // aligned values the alignment had to copy
   std::vector<double> za, zb;  // Eq. 7 images of the pair under comparison
+  // Sub-cut shape checks the series table could not decide, so Welford
+  // ran (comparison.shape_fallbacks).
+  std::uint64_t shape_fallbacks = 0;
 };
 
 // Histogram sinks for the per-pair sub-phases, resolved from the registry
@@ -122,27 +125,36 @@ struct AlignedPair {
   bool b_full = false;
 };
 
+// One side's common-support cut: samples [first, first + size) of its
+// series.
+struct Cut {
+  std::size_t first = 0;
+  std::span<const double> times, values;
+  bool full = false;  // the whole series
+};
+
 // The common-support cut and the alignment of one pair, shared by the
 // reference sweep and the cascade. Returns false when the pair is not
-// comparable. Both series must have passed the usable-shape prefilter.
+// comparable. Both series must have passed the usable-shape prefilter; a
+// side whose cut is a genuine sub-cut must also pass
+// `shape_ok(side, cut)` (side 0 is `sa`), the caller's has_usable_shape
+// on that cut.
+template <typename ShapeOk>
 bool align_pair(const ts::Series& sa, const ts::Series& sb,
-                const ComparisonOptions& options, std::vector<double>& buf_a,
-                std::vector<double>& buf_b, AlignedPair& out) {
+                const ComparisonOptions& options, ShapeOk&& shape_ok,
+                std::vector<double>& buf_a, std::vector<double>& buf_b,
+                AlignedPair& out) {
   const double lo = std::max(sa.time(0), sb.time(0));
   const double hi = std::min(sa.time(sa.size() - 1), sb.time(sb.size() - 1));
   if (hi < lo || hi - lo < options.min_overlap_s) return false;
   // Half-open cut [lo, hi + 1e-9): the nudge keeps the endpoint.
-  struct Cut {
-    std::span<const double> times, values;
-    bool full = false;
-  };
   const auto cut = [&](const ts::Series& s) {
     const std::span<const double> all = s.times();
     const auto first = static_cast<std::size_t>(
         std::lower_bound(all.begin(), all.end(), lo) - all.begin());
     const auto last = static_cast<std::size_t>(
         std::lower_bound(all.begin(), all.end(), hi + 1e-9) - all.begin());
-    return Cut{all.subspan(first, last - first),
+    return Cut{first, all.subspan(first, last - first),
                s.values().subspan(first, last - first),
                first == 0 && last == all.size()};
   };
@@ -154,8 +166,7 @@ bool align_pair(const ts::Series& sa, const ts::Series& sb,
   }
   // A full cut is the whole series, which already passed the usable-shape
   // prefilter; only genuine sub-cuts re-check.
-  if ((!ca.full && !has_usable_shape(ca.values, options)) ||
-      (!cb.full && !has_usable_shape(cb.values, options))) {
+  if ((!ca.full && !shape_ok(0, ca)) || (!cb.full && !shape_ok(1, cb))) {
     return false;
   }
   switch (options.alignment) {
@@ -264,8 +275,11 @@ PairDistance compare_pair(const NamedSeries& ea, const NamedSeries& eb,
 
   obs::ScopedTimer cut_timer(sinks.cut_align_ns);
   AlignedPair aligned;
-  if (!align_pair(ea.second, eb.second, options, scratch.va, scratch.vb,
-                  aligned)) {
+  const auto shape_ok = [&](int, const Cut& c) {
+    return has_usable_shape(c.values, options);
+  };
+  if (!align_pair(ea.second, eb.second, options, shape_ok, scratch.va,
+                  scratch.vb, aligned)) {
     p.comparable = false;
     return p;
   }
@@ -439,9 +453,9 @@ struct CascadeRecord {
   double ub = 0.0;      // per-step diagonal upper bound
   double raw = 0.0;     // exact per-step distance once stage == kFull
   Stage stage = Stage::kSketch;
-  // The side's aligned values are verbatim its whole series (the common
-  // same-beacon-rate case), so the per-series sketch and Z-image caches
-  // stand in for it and re-deriving it is free.
+  // The side's aligned values are verbatim its whole series (it lost
+  // nothing to the cut or the matching), so the series table's sketch and
+  // Z-image stand in for it and re-deriving it is free.
   bool a_full = false;
   bool b_full = false;
 };
@@ -472,6 +486,156 @@ double ub_per_step(double acc, std::size_t len,
   return options.length_normalize ? acc / static_cast<double>(len) : acc;
 }
 
+// A series' running sums over its first k samples: of the deviations
+// d_i = x_i - mu from the series' own mean, of their squares, and of the
+// samples has_usable_shape counts as at the sensitivity floor (a window
+// holds a few hundred samples, so 32 bits suffice).
+struct PrefixRow {
+  double sum_d = 0.0;
+  double sum_d2 = 0.0;
+  std::uint32_t at_floor = 0;
+
+  void add(double x, double mu, double floor_dbm) {
+    const double d = x - mu;
+    sum_d += d;
+    sum_d2 += d * d;
+    if (x <= floor_dbm) ++at_floor;
+  }
+};
+
+// What the cascade knows about one usable series. The sweep builds one
+// entry per series before Phase A, so each pair reads it instead of
+// re-deriving it; it lives for the sweep only.
+struct SeriesEntry {
+  std::span<const double> values;  // the series'
+  ts::SeriesSketch sketch;         // of the whole series
+  std::vector<double> full_z;      // its Eq. 7 image, once some pair
+                                   // aligns the whole series
+  // Its prefix rows 0, kRowStride, 2·kRowStride, ... start here in
+  // SeriesTable::rows.
+  std::size_t base = 0;
+  // Certified pad on a cut's prefix-sum variance, times the cut's length
+  // (see usable_cut).
+  double var_pad_m = 0.0;
+  // Every value, prefix sum and the pad are finite, so the bound holds.
+  bool trusted = false;
+};
+
+// The series table: one entry per usable series, and every series' prefix
+// rows in one block. Only every kRowStride-th row is stored; row k is the
+// stored row below it plus at most kRowStride - 1 more samples, added by
+// the same statements in the same order, so it has the bits of a full
+// prefix array at an eighth of the memory.
+struct SeriesTable {
+  static constexpr std::size_t kRowStride = 8;
+
+  std::vector<SeriesEntry> entries;
+  std::vector<PrefixRow> rows;
+  double floor_dbm = 0.0;  // sensitivity_floor_dbm + 0.25
+
+  SeriesTable(std::span<const NamedSeries* const> usable,
+              const ComparisonOptions& options)
+      : entries(usable.size()),
+        floor_dbm(options.sensitivity_floor_dbm + 0.25) {
+    std::size_t stored = 0;
+    for (std::size_t i = 0; i < usable.size(); ++i) {
+      entries[i].values = usable[i]->second.values();
+      entries[i].base = stored;
+      stored += entries[i].values.size() / kRowStride + 1;
+    }
+    rows.resize(stored);
+  }
+
+  // Fills entry i (its values are already set).
+  void fill(std::size_t i);
+
+  // Series i's prefix row k, 0 <= k <= n.
+  PrefixRow row(std::size_t i, std::size_t k) const {
+    const SeriesEntry& e = entries[i];
+    PrefixRow acc = rows[e.base + k / kRowStride];
+    for (std::size_t j = k - k % kRowStride; j < k; ++j) {
+      acc.add(e.values[j], e.sketch.mu, floor_dbm);
+    }
+    return acc;
+  }
+};
+
+void SeriesTable::fill(std::size_t i) {
+  constexpr double kU = std::numeric_limits<double>::epsilon() / 2;
+  SeriesEntry& e = entries[i];
+  const std::span<const double> xs = e.values;
+  e.sketch = ts::sketch_series(xs);
+  const std::size_t n = xs.size();
+  VP_REQUIRE(n < std::numeric_limits<std::uint32_t>::max());
+  bool finite = true;
+  PrefixRow acc;
+  for (std::size_t k = 0; k < n; ++k) {
+    if (k % kRowStride == 0) rows[e.base + k / kRowStride] = acc;
+    finite = finite && std::isfinite(xs[k]);
+    acc.add(xs[k], e.sketch.mu, floor_dbm);
+  }
+  if (n % kRowStride == 0) rows[e.base + n / kRowStride] = acc;
+  // For a cut of m of the n samples, with D = max |x - mu|, M = max |x|
+  // and R = max - min over the series (each bounds the cut's own):
+  //   * the prefix-sum variance is within 20·u·D²·n²/m of the cut's true
+  //     population variance (the rounding of d_i, of both prefix sums,
+  //     and of the O(1) evaluation);
+  //   * Welford's value, max(M2, 0)/m, is within 7.5·u·m·R·(M + R) of it
+  //     (its running mean drifts by at most k·u·(M + 2R) after k steps,
+  //     and each M2 step multiplies that drift by at most R);
+  // and m <= n²/m. Constant 64 leaves 3x headroom over their sum. The
+  // n²·DBL_MIN term covers gradual underflow.
+  const double mn = e.sketch.min;
+  const double mx = e.sketch.max;
+  const double dev =
+      std::max(std::fabs(mn - e.sketch.mu), std::fabs(mx - e.sketch.mu));
+  const double mag = std::max(std::fabs(mn), std::fabs(mx));
+  const double range = mx - mn;
+  const double nd = static_cast<double>(n);
+  e.var_pad_m = 64.0 * nd * nd *
+                (kU * (dev * dev + range * (mag + range)) +
+                 std::numeric_limits<double>::min());
+  e.trusted = finite && std::isfinite(acc.sum_d) &&
+              std::isfinite(acc.sum_d2) && std::isfinite(e.var_pad_m);
+}
+
+// has_usable_shape on the sub-cut [first, first + values.size()) of series
+// i, bit for bit. The floor test is exact from the integer prefix counts,
+// and the same double comparison; a cut that fails it is unusable
+// whatever its sigma. Sigma's test decides from the prefix-sum variance
+// when it clears min_series_stddev_db² by more than the certified pad
+// (plus 8 ulps of the threshold, for the square root's and the square's
+// rounding), on either side. Otherwise, and for a series whose sums
+// cannot be trusted (a NaN sigma passes the reference's `<` test, which
+// no bound can model), the reference Welford pass runs and `fallbacks`
+// counts it.
+bool usable_cut(const SeriesTable& table, std::size_t i, std::size_t first,
+                std::span<const double> values,
+                const ComparisonOptions& options, std::uint64_t& fallbacks) {
+  if (options.min_series_stddev_db <= 0.0) return true;
+  const SeriesEntry& entry = table.entries[i];
+  const PrefixRow lo = table.row(i, first);
+  const PrefixRow hi = table.row(i, first + values.size());
+  const double md = static_cast<double>(values.size());
+  if (!(static_cast<double>(hi.at_floor - lo.at_floor) <=
+        options.max_floor_fraction * md)) {
+    return false;
+  }
+  if (entry.trusted) {
+    const double mean_d = (hi.sum_d - lo.sum_d) / md;
+    const double var = (hi.sum_d2 - lo.sum_d2) / md - mean_d * mean_d;
+    const double floor_var =
+        options.min_series_stddev_db * options.min_series_stddev_db;
+    const double pad =
+        entry.var_pad_m / md +
+        8.0 * std::numeric_limits<double>::epsilon() * floor_var;
+    if (var - pad > floor_var) return true;
+    if (var + pad < floor_var) return false;
+  }
+  ++fallbacks;
+  return has_usable_shape(values, options);
+}
+
 // Result of one banded DTW kernel run: the pair's exact per-step distance
 // when the run completed, otherwise a per-step lower bound (the distance
 // provably exceeds it).
@@ -487,11 +651,9 @@ struct Cascade {
   const ComparisonOptions& options;
   std::span<const NamedSeries* const> usable;
   std::span<const Job> jobs;
-  // Per usable series: its whole-series sketch and, when some pair
-  // aligned it in full, its Eq. 7 image. Both are exact caches — same
-  // function, same input — so a pair reusing them gets the same bits.
-  std::vector<ts::SeriesSketch> sketches;
-  std::vector<std::vector<double>> full_z;
+  // The series table. Its sketches and Z-images are exact caches (same
+  // function, same input), so a pair reusing them gets the same bits.
+  SeriesTable table;
   // comparison.pair_dtw_ns, resolved once per sweep; null when
   // observability is off, so kernel runs then read no clock.
   obs::Histogram* kernel_ns = nullptr;
@@ -509,9 +671,14 @@ struct Cascade {
               CascadeRecord& rec) const {
     p.a = usable[jobs[k].first]->first;
     p.b = usable[jobs[k].second]->first;
+    const auto shape_ok = [&](int side, const Cut& c) {
+      const std::size_t i = side == 0 ? jobs[k].first : jobs[k].second;
+      return usable_cut(table, i, c.first, c.values, options,
+                        scratch.shape_fallbacks);
+    };
     AlignedPair al;
-    if (!align_pair(series_a(k), series_b(k), options, scratch.va, scratch.vb,
-                    al)) {
+    if (!align_pair(series_a(k), series_b(k), options, shape_ok, scratch.va,
+                    scratch.vb, al)) {
       p.comparable = false;
       p.normalized = 1.0;
       return;
@@ -531,19 +698,25 @@ struct Cascade {
   // a side aligned in full, a fresh one otherwise.
   std::pair<ts::SeriesSketch, ts::SeriesSketch> sketch_pair(
       std::size_t k, const AlignedPair& al) const {
-    return {al.a_full ? sketches[jobs[k].first] : ts::sketch_series(al.a),
-            al.b_full ? sketches[jobs[k].second] : ts::sketch_series(al.b)};
+    return {al.a_full ? table.entries[jobs[k].first].sketch
+                      : ts::sketch_series(al.a),
+            al.b_full ? table.entries[jobs[k].second].sketch
+                      : ts::sketch_series(al.b)};
   }
 
-  // Pair k's aligned values again, bit for bit as Phase A saw them.
+  // Pair k's aligned values again, bit for bit as Phase A saw them. Phase
+  // A proved the pair comparable from these same inputs, so only the cut
+  // and the matching are re-derived, not the shape checks.
   AlignedPair realign(std::size_t k, const CascadeRecord& rec,
                       PairScratch& scratch) const {
     if (rec.a_full && rec.b_full) {
       return {series_a(k).values(), series_b(k).values(), true, true};
     }
     AlignedPair al;
-    const bool comparable = align_pair(series_a(k), series_b(k), options,
-                                       scratch.va, scratch.vb, al);
+    const bool comparable =
+        align_pair(series_a(k), series_b(k), options,
+                   [](int, const Cut&) { return true; }, scratch.va,
+                   scratch.vb, al);
     VP_ENSURE(comparable && al.a.size() == rec.len);
     return al;
   }
@@ -556,7 +729,7 @@ struct Cascade {
     const auto image = [&](bool full, std::size_t series,
                            std::span<const double> values,
                            std::vector<double>& buffer) {
-      if (full) return std::span<const double>(full_z[series]);
+      if (full) return std::span<const double>(table.entries[series].full_z);
       ts::z_score_enhanced(values, buffer);
       return std::span<const double>(buffer);
     };
@@ -684,15 +857,14 @@ std::vector<PairDistance> compare_series_pruned(
   Cascade cascade{.options = options,
                   .usable = usable,
                   .jobs = jobs,
-                  .sketches = std::vector<ts::SeriesSketch>(usable.size()),
-                  .full_z = std::vector<std::vector<double>>(usable.size()),
+                  .table = SeriesTable(usable, options),
                   .kernel_ns = obs::enabled() ? &obs::registry().histogram(
                                                     "comparison.pair_dtw_ns")
                                               : nullptr};
-  // Whole-series sketches, once per series: a fleet-sized neighbourhood
-  // would otherwise sketch every series N-1 times.
+  // The series table, once per series: a fleet-sized neighbourhood would
+  // otherwise sketch and shape-check every series N-1 times.
   parallel_for(threads, usable.size(), [&](std::size_t, std::size_t i) {
-    cascade.sketches[i] = ts::sketch_series(usable[i]->second.values());
+    cascade.table.fill(i);
   });
 
   // Phase A (parallel): cut, align, sketch. No Z-images, no DTW.
@@ -719,7 +891,8 @@ std::vector<PairDistance> compare_series_pruned(
     }
     parallel_for(threads, usable.size(), [&](std::size_t, std::size_t i) {
       if (wanted[i]) {
-        ts::z_score_enhanced(usable[i]->second.values(), cascade.full_z[i]);
+        ts::z_score_enhanced(usable[i]->second.values(),
+                             cascade.table.entries[i].full_z);
       }
     });
   }
@@ -921,6 +1094,9 @@ std::vector<PairDistance> compare_series_pruned(
     registry.counter("dtw.lb_keogh_pruned").add(stats.lb_keogh_pruned);
     registry.counter("dtw.early_abandoned").add(stats.early_abandoned);
     registry.counter("dtw.full_sweeps").add(stats.full_sweeps);
+    std::uint64_t shape_fallbacks = 0;
+    for (const PairScratch& s : scratch) shape_fallbacks += s.shape_fallbacks;
+    registry.counter("comparison.shape_fallbacks").add(shape_fallbacks);
   }
   if (stats_out) *stats_out = stats;
   return pairs;

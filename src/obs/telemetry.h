@@ -89,9 +89,13 @@ struct FrameView {
 
 // One conservation law: sum(lhs counters) must equal sum(rhs counters) +
 // sum(rhs gauges, rounded) at every frame boundary. `skip_if_rhs_zero`
-// marks laws whose right side is only populated on some code paths — the
-// DTW tier partition is empty in exact (non-pruned) comparison mode, so
-// that law only binds once any tier counter is non-zero.
+// marks laws whose right side is only populated on some code paths. Only
+// the detector's sweep (compare_series_pruned, including its
+// reference-sweep fallback, which tallies every comparable pair as a full
+// sweep) writes the DTW tier counters; a process that only calls the
+// reference sweep compare_series itself (Fig. 10 training, printed
+// distances) counts comparable pairs with no tiers, so that law only
+// binds once any tier counter is non-zero.
 struct ConservationLaw {
   const char* name;
   std::vector<const char*> lhs;

@@ -138,8 +138,9 @@ double lb_keogh(std::span<const double> a, const SeriesSketch& sa,
 
   const double e = sa.z_err + sb.z_err;
   const bool squared = cost == LocalCost::kSquared;
-  // Inline per-row cost: this loop runs for nearly every candidate pair
-  // and the out-of-line local_cost call dominates it.
+  // Inline per-row cost for both row loops below: they run for nearly
+  // every candidate pair, and the out-of-line local_cost call would
+  // dominate them. It computes the same d = a - b, d * d (or |d|).
   const auto row_cost = [squared](double d) { return squared ? d * d : std::fabs(d); };
   const bool full = band == 0 || band >= n - 1;
   if (full) {
@@ -185,9 +186,9 @@ double lb_keogh(std::span<const double> a, const SeriesSketch& sa,
     const double zu = sb.z(env_hi[i]);
     const double zl = sb.z(env_lo[i]);
     if (za > zu) {
-      sum += local_cost(za, zu, cost);
+      sum += row_cost(za - zu);
     } else if (za < zl) {
-      sum += local_cost(za, zl, cost);
+      sum += row_cost(za - zl);
     }
   }
   return std::max(std::max(0.0, sum - bound_pad(sum, n, e, cost)), kim);
